@@ -11,7 +11,7 @@ Acceptance bars asserted here (ISSUE 10):
 * the recurrent mix is served ≥90% from the shared plan cache;
 * at the highest concurrency, cold-mix p99 with batching on is strictly
   better than with batching off — the shared-setup fusion must buy more
-  than the micro-batch window costs.
+  than parking each miss until the next event-loop turn costs.
 
 The measurement test is marked ``perf`` and deselected by the default
 ``-m "not perf"`` addopts; run it explicitly with

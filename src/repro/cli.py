@@ -161,8 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shared plan-cache entries (LRU beyond this)")
     serve.add_argument("--no-batching", action="store_true",
                        help="disable micro-batch fusion; misses build individually")
-    serve.add_argument("--window", type=float, default=0.002,
-                       help="micro-batch window in seconds (default 2ms)")
 
     serve_bench = sub.add_parser(
         "serve-bench",
@@ -181,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_bench.add_argument("--scale", type=float, default=0.5,
                              help="template-count scale factor")
     serve_bench.add_argument("--slots", type=int, default=200)
-    serve_bench.add_argument("--window", type=float, default=0.002)
     serve_bench.add_argument("--json", dest="json_out",
                              help="write the BENCH payload to this path")
 
@@ -498,14 +495,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         pool=args.pool,
         cache_capacity=args.cache_capacity,
         batching=not args.no_batching,
-        window=args.window,
     )
     service = PlanningService(config)
     server = PlanServer(service, host=args.host, port=args.port)
 
     async def run() -> None:
         await server.start()
-        batching = "off" if args.no_batching else f"window {args.window * 1e3:g}ms"
+        batching = "off" if args.no_batching else "on"
         print(
             f"serving on http://{server.host}:{server.port} "
             f"({args.slots} slots, {args.prioritizer}/{args.pool}, batching {batching})",
@@ -537,7 +533,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         seed=args.seed,
         scale=args.scale,
         total_slots=args.slots,
-        window=args.window,
         mixes=tuple(args.mix) if args.mix else MIXES,
     )
     rows = [

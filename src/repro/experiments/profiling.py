@@ -122,6 +122,7 @@ def _profile_serve(
     individually through the in-flight guard.  An *event* is one served
     plan request.
     """
+    from repro.serve.loadgen import jittered
     from repro.serve.service import PlanningService, ServiceConfig
 
     templates = [
@@ -129,7 +130,7 @@ def _profile_serve(
     ]
     tenants = max(2, nodes)
     rounds = max(2, round(20 * scale))
-    service = PlanningService(ServiceConfig(total_slots=200, batching=fast, window=0.0005))
+    service = PlanningService(ServiceConfig(total_slots=200, batching=fast))
 
     schedule = []
     for r in range(rounds):
@@ -137,9 +138,7 @@ def _profile_serve(
         for t in range(tenants):
             template = templates[(r + t) % len(templates)]
             if t % 2:  # odd tenants go cold: unique relative deadline
-                ordinal = r * tenants + t
-                base = template.relative_deadline
-                template = template.with_timing(0.0, base * (1.0 + ordinal * 1e-4))
+                template = jittered(template, r * tenants + t, rounds * tenants)
             burst.append((f"tenant{t:02d}", template))
         schedule.append(burst)
 

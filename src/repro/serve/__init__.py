@@ -5,9 +5,9 @@ packages that client-side pipeline as a long-running asyncio service so
 many tenants share one :class:`~repro.core.plancache.PlanCache` and one
 batching planner:
 
-* :mod:`repro.serve.batching` — the micro-batch window that fuses
-  concurrent cache misses sharing a workflow structure into one
-  ``_SimProblem`` setup and one probe memo.
+* :mod:`repro.serve.batching` — the next-turn flush that fuses the
+  cache misses parked in one event-loop iteration; misses sharing a
+  workflow structure share one ``_SimProblem`` setup and one probe memo.
 * :mod:`repro.serve.service` — :class:`PlanningService`, the transport-
   independent core (plan / admit / stats / trace).
 * :mod:`repro.serve.api` — :class:`PlanServer`, a minimal HTTP/1.1 layer

@@ -9,19 +9,25 @@ structure with different deadlines (the multi-tenant cold-start pattern:
 one template, per-tenant deadlines) can share one ``_SimProblem`` build and
 one probe memo, and each search skips every cap the other already simulated.
 
-:class:`BatchingPlanner` exploits that overlap with a micro-batch window:
+:class:`BatchingPlanner` exploits that overlap with a next-turn flush:
 
-1. A cache **hit** bypasses the window entirely — batching must never slow
+1. A cache **hit** bypasses the batcher entirely — batching must never slow
    down the recurrent steady state.
-2. A miss parks in the pending list; the first miss arms a flush timer
-   (``window`` seconds of ``asyncio.sleep``).
+2. A miss parks in the pending list; the first miss to join an empty list
+   schedules :meth:`~BatchingPlanner.flush_now` with ``loop.call_soon``.
+   Every miss that parks before that callback runs — the rest of the
+   current ready-queue burst — joins the same batch, so there is no idle
+   wait, and under load batches grow by themselves while a flush holds
+   the loop.
 3. The flush runs **synchronously** — no awaits between its cache reads and
    writes — so it is atomic with respect to the event loop: the cache is a
    single-writer structure and needs no locks (DESIGN.md §15.3).
 4. Within a flush, requests with identical fingerprints collapse to one
    build (outcome ``"fused"``); distinct fingerprints sharing a fusion key
    (structure, job order, planner mode — everything *except* deadline and
-   slot count) share a ``_SimProblem`` and a probe memo.
+   slot count) share a ``_SimProblem`` and a probe memo.  A waiter
+   cancelled before the flush (a client that went away) is dropped from
+   the batch and never fails the requests it would have fused with.
 
 Plan bytes are unchanged by construction: a probe's outcome at a given cap
 is deterministic, so memo-served probes return exactly what a fresh
@@ -33,7 +39,7 @@ simulation would; only the *count* of simulations drops.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Tuple, Union
 
 from repro.core.client import _plan_entry
 from repro.core.plancache import PlanCache, PlanCacheEntry
@@ -77,9 +83,6 @@ class BatchingPlanner:
     Args:
         cache: the shared :class:`~repro.core.plancache.PlanCache`; hits are
             served from it synchronously, batch builds commit into it.
-        window: micro-batch window in seconds.  ``0.0`` still defers one
-            event-loop tick, so requests arriving in the same ready-queue
-            burst batch together.
         enabled: ``False`` degrades to per-request building through
             :meth:`PlanCache.get_or_build_async` (the bench baseline).
         tracer: mirrors batch counters into the ``serve_batch`` scope.
@@ -90,18 +93,13 @@ class BatchingPlanner:
     def __init__(
         self,
         cache: PlanCache,
-        window: float = 0.002,
         enabled: bool = True,
         tracer=NULL_TRACER,
     ) -> None:
-        if window < 0:
-            raise ValueError("window must be >= 0")
         self.cache = cache
-        self.window = window
         self.enabled = enabled
         self.tracer = tracer
         self._pending: List[_PendingRequest] = []
-        self._flush_task: Optional["asyncio.Task[None]"] = None
         self.batches = 0
         self.batched_requests = 0
         self.fused = 0
@@ -124,7 +122,7 @@ class BatchingPlanner:
     ) -> Tuple[PlanCacheEntry, str]:
         """Resolve one plan request; returns ``(entry, outcome)``.
 
-        Outcomes: ``"hit"`` (served from cache, no window), ``"miss"``
+        Outcomes: ``"hit"`` (served from cache, never parked), ``"miss"``
         (this request's batch built it), ``"fused"`` (an identical request
         in the same batch built it), ``"coalesced"`` (batching disabled:
         another task's in-flight build was awaited).
@@ -142,33 +140,29 @@ class BatchingPlanner:
             return entry, "hit"
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[Tuple[PlanCacheEntry, str]]" = loop.create_future()
+        if not self._pending:
+            # Runs after every callback already in the ready queue, so the
+            # rest of this burst parks first and joins the batch.
+            loop.call_soon(self.flush_now)
         self._pending.append(
             _PendingRequest(
                 workflow, tuple(job_order), total_slots, cap_search, pool,
                 map_fraction, mode, future,
             )
         )
-        if self._flush_task is None or self._flush_task.done():
-            self._flush_task = loop.create_task(self._flush_after_window())
         return await future
-
-    async def _flush_after_window(self) -> None:
-        """Sleep out the window, then drain every pending request."""
-        await asyncio.sleep(self.window)
-        while self._pending:
-            self.flush_now()
 
     def flush_now(self) -> int:  # repro: budget O(n)
         """Drain the pending list in one synchronous batch; returns its size.
 
-        Public so tests and the ``serve`` profile scenario can drive the
-        batch path deterministically without a running window timer.
+        The event loop calls this one turn after the first miss parks;
+        tests may also call it directly.  Waiters cancelled while parked
+        are dropped and not counted.
         """
-        batch = self._pending
-        if not batch:
-            return 0
+        batch = [req for req in self._pending if not req.future.cancelled()]
         self._pending = []
-        self._flush(batch)
+        if batch:
+            self._flush(batch)
         return len(batch)
 
     def _flush(self, batch: List[_PendingRequest]) -> None:  # repro: budget O(n)

@@ -17,7 +17,7 @@ optimises for:
     unchanged — the periodic-production steady state.  After the first
     builds, everything is a cache hit; the acceptance bar is a ≥90%
     hit-rate, and batching must not slow this mix down (hits bypass the
-    micro-batch window entirely).
+    batcher entirely).
 ``cold``
     The same templates but every request carries a distinct relative
     deadline (deterministic jitter on the request ordinal), so every
@@ -48,6 +48,8 @@ from repro.workloads.io import workflows_to_json
 __all__ = [
     "bench_templates",
     "build_request",
+    "cell_workflows",
+    "jittered",
     "percentile",
     "run_cell",
     "run_serve_bench",
@@ -75,16 +77,19 @@ def bench_templates(scenario: str = "serve", seed: int = 7, scale: float = 0.5) 
     return templates
 
 
-def _jittered(template: Workflow, ordinal: int) -> Workflow:
-    """A copy whose *relative* deadline is unique to ``ordinal``.
+def jittered(template: Workflow, ordinal: int, total: int) -> Workflow:
+    """A copy whose *relative* deadline is unique to ``ordinal`` of ``total``.
 
-    The jitter is a tiny deterministic stretch (0.01% per ordinal), enough
-    to change the cache fingerprint without changing feasibility, so every
-    cold-mix request is a genuine miss on a shared structure.
+    The jitter is a tiny deterministic stretch, ``ordinal / (total * 1000)``
+    — below 0.1% for every ``ordinal < total`` — enough to change the cache
+    fingerprint without changing feasibility, so every cold-mix request is
+    a genuine miss on a shared structure.
     """
     base = template.relative_deadline
     assert base is not None
-    return template.with_timing(submit_time=0.0, deadline=base * (1.0 + ordinal * 1e-4))
+    return template.with_timing(
+        submit_time=0.0, deadline=base * (1.0 + ordinal / (total * 1000.0))
+    )
 
 
 def build_request(workflow: Workflow, tenant: str, path: str = "/v1/plan") -> bytes:
@@ -148,31 +153,31 @@ def percentile(sorted_values: Sequence[float], q: float) -> float:
     return sorted_values[min(index, len(sorted_values) - 1)]
 
 
-def _cell_requests(
+def cell_workflows(
     mix: str,
     templates: Sequence[Workflow],
     concurrency: int,
     requests_per_client: int,
-) -> List[List[bytes]]:
-    """Pre-serialized request schedule, one list per client."""
+) -> List[List[Workflow]]:
+    """The workflows each client plans, in order, one list per client."""
     if mix not in MIXES:
         raise ValueError(f"unknown mix {mix!r}; pick from {MIXES}")
-    schedule: List[List[bytes]] = []
+    total = concurrency * requests_per_client
+    schedule: List[List[Workflow]] = []
     for client in range(concurrency):
-        tenant = f"client{client:02d}"
-        requests = []
+        workflows = []
         for i in range(requests_per_client):
             if mix == "cold":
                 # All tenants plan the *same* template each round with a
                 # per-request deadline: every fingerprint misses, but the
                 # concurrent misses share one structure — the fusion case.
-                template = _jittered(
-                    templates[i % len(templates)], client * requests_per_client + i
+                template = jittered(
+                    templates[i % len(templates)], client * requests_per_client + i, total
                 )
             else:
                 template = templates[(client + i) % len(templates)]
-            requests.append(build_request(template, tenant))
-        schedule.append(requests)
+            workflows.append(template)
+        schedule.append(workflows)
     return schedule
 
 
@@ -183,15 +188,17 @@ async def _run_cell_async(
     requests_per_client: int,
     templates: Sequence[Workflow],
     total_slots: int,
-    window: float,
 ) -> Dict[str, Any]:
-    config = ServiceConfig(
-        total_slots=total_slots, batching=batching, window=window, trace_capacity=64
-    )
+    config = ServiceConfig(total_slots=total_slots, batching=batching, trace_capacity=64)
     service = PlanningService(config)
     server = PlanServer(service, host="127.0.0.1", port=0)
     await server.start()
-    schedule = _cell_requests(mix, templates, concurrency, requests_per_client)
+    schedule = [
+        [build_request(w, f"client{client:02d}") for w in workflows]
+        for client, workflows in enumerate(
+            cell_workflows(mix, templates, concurrency, requests_per_client)
+        )
+    ]
     latencies_ms: List[float] = []
     outcomes: "Counter[str]" = Counter()
     try:
@@ -228,13 +235,10 @@ def run_cell(
     requests_per_client: int,
     templates: Sequence[Workflow],
     total_slots: int = 64,
-    window: float = 0.002,
 ) -> Dict[str, Any]:
     """One bench cell (fresh service + server; own event loop)."""
     return asyncio.run(
-        _run_cell_async(
-            mix, batching, concurrency, requests_per_client, templates, total_slots, window
-        )
+        _run_cell_async(mix, batching, concurrency, requests_per_client, templates, total_slots)
     )
 
 
@@ -245,7 +249,6 @@ def run_serve_bench(
     seed: int = 7,
     scale: float = 0.5,
     total_slots: int = 200,
-    window: float = 0.002,
     mixes: Sequence[str] = MIXES,
 ) -> Dict[str, Any]:
     """The full grid: mix × batching × concurrency; returns the payload.
@@ -261,8 +264,7 @@ def run_serve_bench(
             for concurrency in concurrency_levels:
                 cells.append(
                     run_cell(
-                        mix, batching, concurrency, requests_per_client,
-                        templates, total_slots, window,
+                        mix, batching, concurrency, requests_per_client, templates, total_slots
                     )
                 )
     top = max(concurrency_levels)
@@ -288,7 +290,6 @@ def run_serve_bench(
             "total_slots": total_slots,
             "concurrency_levels": list(concurrency_levels),
             "requests_per_client": requests_per_client,
-            "window": window,
             "templates": len(templates),
         },
         "cells": cells,

@@ -49,7 +49,6 @@ class ServiceConfig:
     map_fraction: float = 2.0 / 3.0
     cache_capacity: int = 1024
     batching: bool = True
-    window: float = 0.002
     trace_capacity: Optional[int] = 4096
 
     def __post_init__(self) -> None:
@@ -86,10 +85,7 @@ class PlanningService:
         self.tracer = DecisionTracer(capacity=self.config.trace_capacity)
         self.cache = PlanCache(capacity=self.config.cache_capacity, tracer=self.tracer)
         self.batcher = BatchingPlanner(
-            self.cache,
-            window=self.config.window,
-            enabled=self.config.batching,
-            tracer=self.tracer,
+            self.cache, enabled=self.config.batching, tracer=self.tracer
         )
         self._prioritizer = _resolve_prioritizer(self.config.prioritizer)
         self.requests = 0
@@ -213,7 +209,6 @@ class PlanningService:
                 "cap_search": self.config.cap_search,
                 "pool": self.config.pool,
                 "batching": self.config.batching,
-                "window": self.config.window,
             },
             "plan_cache": {
                 "size": len(self.cache),

@@ -40,16 +40,88 @@ def plan_all(planner, requests):
     return asyncio.run(go())
 
 
-class TestWindowValidation:
-    def test_negative_window_rejected(self):
-        with pytest.raises(ValueError):
-            BatchingPlanner(PlanCache(), window=-0.001)
+class TestNextTurnFlush:
+    def test_lone_miss_resolves_next_turn_and_repeat_hits(self):
+        cache = PlanCache()
+        planner = BatchingPlanner(cache)
+        w = diamond()
+
+        async def go():
+            before = asyncio.all_tasks()
+            task = asyncio.ensure_future(planner.plan(w, order_of(w), 24))
+            await asyncio.sleep(0)  # the miss parks and schedules its flush
+            assert not task.done() and len(planner._pending) == 1
+            # The flush is a loop callback, not a planner-created task.
+            assert asyncio.all_tasks() == before | {task}
+            for _turn in range(2):
+                if task.done():
+                    break
+                await asyncio.sleep(0)
+            assert task.done()
+            entry, outcome = task.result()
+            assert outcome == "miss"
+            # A repeat is a hit: served synchronously, never parked.
+            assert await planner.plan(w, order_of(w), 24) == (entry, "hit")
+            assert not planner._pending
+
+        asyncio.run(go())
+        assert planner.batches == 1
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_one_batch_per_loop_iteration(self):
+        base = diamond()
+        variants = [base.with_timing(0.0, 400.0 + k) for k in range(4)]
+
+        async def same_iteration(planner):
+            await asyncio.gather(*(planner.plan(w, order_of(w), 24) for w in variants))
+
+        async def successive_iterations(planner):
+            tasks = []
+            for w in variants:
+                tasks.append(asyncio.ensure_future(planner.plan(w, order_of(w), 24)))
+                await asyncio.sleep(0)
+            await asyncio.gather(*tasks)
+
+        together = BatchingPlanner(PlanCache())
+        asyncio.run(same_iteration(together))
+        assert (together.batches, together.batched_requests) == (1, 4)
+
+        apart = BatchingPlanner(PlanCache())
+        asyncio.run(successive_iterations(apart))
+        assert (apart.batches, apart.batched_requests) == (4, 4)
+
+    def test_cancelled_waiter_does_not_fail_its_fused_group(self):
+        cache = PlanCache()
+        planner = BatchingPlanner(cache)
+        w = diamond()
+        loop_errors = []
+
+        async def go():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: loop_errors.append(context)
+            )
+            gone = asyncio.ensure_future(planner.plan(w, order_of(w), 24))
+            kept = asyncio.ensure_future(planner.plan(w, order_of(w), 24))
+            await asyncio.sleep(0)  # both park; the flush is scheduled
+            assert len(planner._pending) == 2
+            gone.cancel()  # the client went away before the flush ran
+            with pytest.raises(asyncio.CancelledError):
+                await gone
+            return await kept
+
+        entry, outcome = asyncio.run(go())
+        assert outcome == "miss"  # the surviving waiter led its group
+        assert cache.misses == 1 and len(cache) == 1
+        mode = BatchingPlanner.planner_mode("pooled", True, 2 / 3)
+        assert cache.lookup(w, order_of(w), 24, mode) is entry
+        assert planner.batched_requests == 1 and planner.fused == 0
+        assert loop_errors == []
 
 
 class TestOutcomes:
     def test_identical_concurrent_requests_fuse_to_one_build(self):
         cache = PlanCache()
-        planner = BatchingPlanner(cache, window=0.0)
+        planner = BatchingPlanner(cache)
         w = diamond()
         results = plan_all(planner, [(w, 24)] * 4)
         outcomes = sorted(outcome for _entry, outcome in results)
@@ -58,28 +130,10 @@ class TestOutcomes:
         entries = {id(entry[1]) for entry, _ in results}
         assert len(entries) == 1  # everyone got the same plan object
 
-    def test_cache_hit_bypasses_the_window(self):
-        cache = PlanCache()
-        planner = BatchingPlanner(cache, window=60.0)  # a window nobody waits out
-        w = diamond()
-
-        async def first_and_second():
-            # The first call *does* sit in the window, so flush manually.
-            task = asyncio.ensure_future(planner.plan(w, order_of(w), 24))
-            await asyncio.sleep(0)
-            planner.flush_now()
-            entry, outcome = await task
-            assert outcome == "miss"
-            return await planner.plan(w, order_of(w), 24)
-
-        _entry, outcome = asyncio.run(first_and_second())
-        assert outcome == "hit"
-        assert (cache.hits, cache.misses) == (1, 1)
-
     def test_deadline_jittered_requests_share_one_problem(self):
         cache = PlanCache()
         tracer = DecisionTracer()
-        planner = BatchingPlanner(cache, window=0.0, tracer=tracer)
+        planner = BatchingPlanner(cache, tracer=tracer)
         base = diamond()
         variants = [
             base.with_timing(0.0, 400.0 + k) for k in range(4)
@@ -94,14 +148,14 @@ class TestOutcomes:
 
     def test_different_structures_do_not_fuse(self):
         cache = PlanCache()
-        planner = BatchingPlanner(cache, window=0.0)
+        planner = BatchingPlanner(cache)
         results = plan_all(planner, [(diamond(maps=8), 24), (diamond(maps=9), 24)])
         assert planner.shared_setups == 0
         assert cache.misses == 2
 
     def test_disabled_batching_builds_synchronously_per_request(self):
         # A synchronous build never yields, so the first task commits before
-        # the others even start: miss + hits, no window, no batches.  (The
+        # the others even start: miss + hits, no batches.  (The
         # coalesced outcome needs an awaitable build; see
         # tests/core/test_plancache_async.py.)
         cache = PlanCache()
@@ -117,7 +171,7 @@ class TestOutcomes:
 class TestErrorPropagation:
     def test_planner_failure_reaches_every_fused_requester(self, monkeypatch):
         cache = PlanCache()
-        planner = BatchingPlanner(cache, window=0.0)
+        planner = BatchingPlanner(cache)
         w = diamond()
 
         def boom(*args, **kwargs):
@@ -141,7 +195,7 @@ class TestErrorPropagation:
 class TestAccounting:
     def test_counter_table_feeds_metrics_collector(self):
         cache = PlanCache()
-        planner = BatchingPlanner(cache, window=0.0)
+        planner = BatchingPlanner(cache)
         w = diamond()
         plan_all(planner, [(w, 24)] * 3)
         collector = MetricsCollector(ClusterConfig(num_nodes=1))
