@@ -103,6 +103,7 @@ HOT_PATH_REGISTRY: Dict[str, Tuple[str, ...]] = {
         "JobTracker.heartbeat",
         "JobTracker._heartbeat_batched",
         "JobTracker._heartbeat_tick",
+        "JobTracker.schedule_round",
         "JobTracker._round_batched",
         "JobTracker._pick_tracker",
         "JobTracker._notify",

@@ -482,6 +482,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import signal
 
     from repro.serve import PlanServer, PlanningService, ServiceConfig
 
@@ -500,6 +501,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server = PlanServer(service, host=args.host, port=args.port)
 
     async def run() -> None:
+        # Explicit handlers rather than KeyboardInterrupt: a shell that
+        # starts the server with ``&`` hands it SIGINT ignored, and a
+        # supervisor stops it with SIGTERM.  Either signal closes the
+        # listener and returns, so the process exits 0.
+        stopping = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(signum, stopping.set)
         await server.start()
         batching = "off" if args.no_batching else "on"
         print(
@@ -507,11 +516,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"({args.slots} slots, {args.prioritizer}/{args.pool}, batching {batching})",
             flush=True,
         )
-        await server.serve_forever()
+        await stopping.wait()
+        await server.stop()
 
     try:
         asyncio.run(run())
     except KeyboardInterrupt:
+        # A SIGINT that lands before the handlers are installed.
         pass
     return 0
 

@@ -41,7 +41,10 @@ class ClusterConfig:
             provably decision-identical override ``select_tasks``; the
             base-class default replays the one-launch-per-call loop, so
             decisions and traces are byte-identical either way
-            (DESIGN.md §11).  Off by default (the reference path).
+            (DESIGN.md §11).  Off by default: the per-call loops reuse
+            proven-idle answers the same way and match or beat batching
+            for WOHA; batching still pays for FIFO rounds that fill many
+            slots at once.
         submit_task_duration: seconds one WOHA submitter map task occupies a
             map slot to load jars and initialise a wjob (§III-A).
         oozie_poll_interval: seconds between Oozie-lite readiness polls for

@@ -399,22 +399,33 @@ class JobTracker:
 
     # repro: budget O(log n)
     def heartbeat(self, tracker: TaskTracker) -> List[Task]:
-        """One tracker reports in; fill its free slots from the scheduler."""
+        """One tracker reports in; fill its free slots from the scheduler.
+
+        A kind whose runnability hint is down is not asked: a prior
+        ``select_task`` proved it idle and nothing changed since, so asking
+        again could not answer differently.
+        """
         launched: List[Task] = []
         scheduler = self.scheduler
-        now = self.sim.now
-        for kind in (TaskKind.MAP, TaskKind.REDUCE):
-            while tracker.free_slots(kind) > 0:
-                if not scheduler.has_runnable(kind):
-                    # A prior select_task proved idle and nothing changed
-                    # since; asking again could not answer differently.
-                    break
-                task = scheduler.select_task(kind, now)
-                if task is None:
-                    scheduler.note_idle(kind)
-                    break
-                self._launch(task, tracker)
-                launched.append(task)
+        # Unrolled over the two pools with direct slot and hint reads, in the
+        # shape of _heartbeat_batched.  The hint is re-read per launch, as
+        # has_runnable was: a launch's listeners may change it.  Nothing is
+        # pre-bound: most ticks launch nothing, and a pre-bind would tax
+        # every one of them to save a load on the few that do.
+        while tracker.free_map_slots > 0 and scheduler.maybe_map:
+            task = scheduler.select_task(TaskKind.MAP, self.sim.now)  # repro: allow[DT402]
+            if task is None:
+                scheduler.maybe_map = False
+                break
+            self._launch(task, tracker)  # repro: allow[DT402]
+            launched.append(task)
+        while tracker.free_reduce_slots > 0 and scheduler.maybe_reduce:
+            task = scheduler.select_task(TaskKind.REDUCE, self.sim.now)
+            if task is None:
+                scheduler.maybe_reduce = False
+                break
+            self._launch(task, tracker)
+            launched.append(task)
         return launched
 
     # repro: budget O(n)
@@ -513,41 +524,83 @@ class JobTracker:
         """A scheduling plan was (re)installed mid-run (replanning path)."""
         self._mark_scheduler_dirty()
 
+    # repro: budget O(1)
+    def _may_skip_idle(self) -> bool:
+        """May a round reuse a proven-idle hint instead of asking again?
+
+        Skipping launches nothing and changes nothing only when the run is
+        untraced (a traced ask emits the idle ``decision`` event the trace
+        records), no speculator waits on idle answers for its backups, and
+        the scheduler's idle ``select_task`` calls are pure
+        (:attr:`~repro.schedulers.base.WorkflowScheduler.pure_idle_select`).
+        """
+        return (
+            not self._tracing
+            and self.speculator is None
+            and self.scheduler.pure_idle_select
+        )
+
+    # repro: budget O(n)
     def schedule_round(self) -> None:
         """Cluster-wide assignment sweep (out-of-band heartbeat path).
 
         Because no scheduler here is locality-aware, one ``None`` answer
         from the scheduler means no tracker can be served, so the sweep is
-        O(assignments), not O(trackers x assignments).
+        O(assignments), not O(trackers x assignments).  A kind already
+        proven idle is not asked again where :meth:`_may_skip_idle` allows.
         """
-        if not self.config.eager_heartbeats or self._in_round:
+        config = self.config
+        if not config.eager_heartbeats or self._in_round:
             # Re-entrant calls (a submission triggered from within a
             # completion) fold into the outer round's loop.
             return
         self._in_round = True
         try:
-            if self.config.batched_assignment and self.speculator is None:
+            speculator = self.speculator
+            if config.batched_assignment and speculator is None:
                 # Speculative backups piggyback on proven-idle answers the
                 # unbatched loop surfaces per call; with a speculator
-                # attached the reference loop below stays authoritative.
+                # attached the per-call loop below stays authoritative.
                 self._round_batched()
                 return
-            for kind in (TaskKind.MAP, TaskKind.REDUCE):
-                while self.free_slots(kind) > 0:
-                    task = self.scheduler.select_task(kind, self.sim.now)
+            scheduler = self.scheduler
+            now = self.sim.now
+            ask_idle = not self._may_skip_idle()
+            select = scheduler.select_task
+            launch = self._launch
+            pick = self._pick_tracker
+            # Unrolled over the two pools with direct count and hint reads,
+            # in the shape of _round_batched: this runs on every completion.
+            kind = TaskKind.MAP
+            if ask_idle or scheduler.maybe_map:
+                while self._free_maps > 0:
+                    task = select(kind, now)
                     if task is None:
-                        # A proven-idle answer: parked heartbeat timers may
-                        # reuse it until the next state change.
-                        self.scheduler.note_idle(kind)
-                        if self.speculator is not None:
-                            # Idle slots may back up stragglers (Hadoop's
-                            # speculative execution kicks in when the regular
-                            # scheduler has nothing to assign).
-                            task = self.speculator.select_backup(kind, self.sim.now)
+                        # A proven-idle answer: parked heartbeat timers and
+                        # later rounds may reuse it until the next state
+                        # change.
+                        scheduler.maybe_map = False
+                        if speculator is None:
+                            break
+                        # Idle slots may back up stragglers (Hadoop's
+                        # speculative execution kicks in when the regular
+                        # scheduler has nothing to assign).
+                        task = speculator.select_backup(kind, now)
+                        if task is None:
+                            break
+                    launch(task, pick(kind))
+            kind = TaskKind.REDUCE
+            if ask_idle or scheduler.maybe_reduce:
+                while self._free_reduces > 0:
+                    task = select(kind, now)
                     if task is None:
-                        break
-                    tracker = self._pick_tracker(kind)
-                    self._launch(task, tracker)
+                        scheduler.maybe_reduce = False
+                        if speculator is None:
+                            break
+                        task = speculator.select_backup(kind, now)
+                        if task is None:
+                            break
+                    launch(task, pick(kind))
         finally:
             self._in_round = False
 
@@ -556,23 +609,17 @@ class JobTracker:
         """Batched form of :meth:`schedule_round`: one ``select_tasks``
         round per kind fills every free slot cluster-wide, each launch
         landing on the round-robin tracker the unbatched sweep would have
-        picked (DESIGN.md §11).  Unlike the heartbeat path this must *not*
-        gate on ``has_runnable`` — the reference sweep always asks the
-        scheduler once per kind, and that fruitless ask emits an idle
-        decision event the batched trace must reproduce.
+        picked (DESIGN.md §11).  Like the per-call round, it reuses a
+        proven-idle hint only where :meth:`_may_skip_idle` allows; a traced
+        round must still ask, to emit the idle decision the trace records.
         """
         scheduler = self.scheduler
         now = self.sim.now
-        # Untraced runs may reuse proven-idle hints here: skipping the call
-        # launches nothing (the hint being False means a prior walk proved
-        # idle and no state change followed) and note_idle would only
-        # re-write the already-False flag.  Traced runs must still ask, to
-        # emit the idle decision event the reference sweep records.
+        ask_idle = not self._may_skip_idle()
         # Unrolled over the two kinds with direct pool/hint reads — this is
         # the once-per-completion sweep on the loaded-trace hot path.
-        tracing = self._tracing
         free = self._free_maps
-        if free > 0 and (tracing or scheduler.maybe_map):
+        if free > 0 and (ask_idle or scheduler.maybe_map):
 
             def _launch_map(task: Task) -> None:
                 self._launch(task, self._pick_tracker(TaskKind.MAP))
@@ -580,14 +627,14 @@ class JobTracker:
             if scheduler.select_tasks(TaskKind.MAP, now, free, _launch_map) < free:
                 scheduler.maybe_map = False
         free = self._free_reduces
-        if free > 0 and (tracing or scheduler.maybe_reduce):
+        if free > 0 and (ask_idle or scheduler.maybe_reduce):
 
             def _launch_reduce(task: Task) -> None:
                 self._launch(task, self._pick_tracker(TaskKind.REDUCE))
 
             if scheduler.select_tasks(TaskKind.REDUCE, now, free, _launch_reduce) < free:
                 scheduler.maybe_reduce = False
-        return
+
     # repro: budget O(log n)
     def _pick_tracker(self, kind: TaskKind) -> TaskTracker:
         """Round-robin over trackers with a free slot of ``kind``.

@@ -98,6 +98,11 @@ class ReplanningWohaScheduler(WohaScheduler):
 
     name = "WOHA-replan"
 
+    # Every call runs the replan check, which stamps cooldowns and may
+    # install a plan, so an idle answer is not free to reuse: rounds must
+    # ask again, exactly when the traced run would.
+    pure_idle_select = False
+
     def __init__(
         self,
         queue_backend: str = "dsl",

@@ -41,6 +41,13 @@ class WorkflowScheduler(abc.ABC):
     #: Display name used in traces and counter tables; subclasses override.
     name = "scheduler"
 
+    #: Whether a ``select_task`` call that returns ``None`` changes no state
+    #: a later decision reads.  Untraced scheduling rounds then reuse a
+    #: proven-idle answer instead of asking again (DESIGN.md §10).  A
+    #: scheduler whose every call does work of its own, such as a replan
+    #: check, declares ``False`` and is asked on every round.
+    pure_idle_select = True
+
     def __init__(self) -> None:
         self.jobtracker: Optional["JobTracker"] = None
         self.tracer: Union[DecisionTracer, NullTracer] = NULL_TRACER
@@ -86,7 +93,11 @@ class WorkflowScheduler(abc.ABC):
         ``False`` is authoritative (a prior ``select_task`` proved idle and
         nothing changed since); ``True`` merely permits asking.  The
         JobTracker maintains the flag via :meth:`note_idle` /
-        :meth:`note_state_change`; schedulers never flip it themselves.
+        :meth:`note_state_change` and reads the underlying ``maybe_map`` /
+        ``maybe_reduce`` attributes directly on its hot paths; schedulers
+        never flip it themselves.  Heartbeats never ask a kind whose hint
+        is down; untraced scheduling rounds skip it too when
+        :attr:`pure_idle_select` holds.
         """
         return self.maybe_map if kind is not TaskKind.REDUCE else self.maybe_reduce
 

@@ -16,10 +16,12 @@ from repro.cluster.simulation import ClusterSimulation
 from repro.core.client import make_planner
 from repro.core.replanning import ReplanningWohaScheduler
 from repro.core.scheduler import NaiveWohaScheduler, WohaScheduler
+from repro.noise import LognormalNoise
 from repro.schedulers.edf import EdfScheduler
 from repro.schedulers.fair import FairScheduler
 from repro.schedulers.fifo import FifoScheduler
 from repro.workflow.builder import WorkflowBuilder
+from repro.workloads.topologies import fig11_workflows
 
 
 class AssignmentLog:
@@ -98,6 +100,37 @@ def test_tracing_invariant_under_heartbeats(name, make_scheduler, mode):
     plain, _ = run_assignments(make_scheduler, mode, trace=False, heartbeat=3.0)
     traced, _ = run_assignments(make_scheduler, mode, trace=True, heartbeat=3.0)
     assert json.dumps(traced).encode() == json.dumps(plain).encode()
+
+
+def run_fig11_replanning(trace, batched):
+    """The replanning ablation's Fig 11 run at sigma=0.5: large enough
+    that plans go stale and get replaced mid-run."""
+    scheduler = ReplanningWohaScheduler(min_lag=20, lag_fraction=0.05, cooldown=120.0)
+    config = ClusterConfig(
+        num_nodes=32, map_slots_per_node=2, reduce_slots_per_node=1,
+        heartbeat_interval=float("inf"), batched_assignment=batched,
+    )
+    sim = ClusterSimulation(
+        config, scheduler, submission="woha", planner=make_planner("lpf"),
+        duration_sampler_factory=LognormalNoise(0.5, seed=9), trace=trace,
+    )
+    log = AssignmentLog()
+    sim.jobtracker.add_listener(log)
+    sim.add_workflows(fig11_workflows())
+    return log.launches, sim.run(), scheduler
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["per-call", "batched"])
+def test_replanning_tracing_does_not_change_decisions(batched):
+    """Regression: untraced batched rounds once reused idle answers from
+    the replanning scheduler, whose every ``select_task`` runs the replan
+    check, so max tardiness came out 1622.8 untraced vs 1625.2 traced."""
+    plain, plain_result, scheduler = run_fig11_replanning(trace=False, batched=batched)
+    traced, traced_result, _ = run_fig11_replanning(trace=True, batched=batched)
+    assert scheduler.replans > 0
+    assert json.dumps(traced).encode() == json.dumps(plain).encode()
+    assert plain_result.stats == traced_result.stats
+    assert plain_result.max_tardiness == traced_result.max_tardiness
 
 
 def test_every_assignment_has_a_decision_with_lag_fields():
