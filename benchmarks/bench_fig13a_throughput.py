@@ -47,7 +47,7 @@ def build_queue(scheduler, count: int):
         wip = WorkflowInProgress(definition, f"id{i:06d}", submit_time=0.0)
         wip.plan = plan
         jip = JobInProgress(f"job{i:06d}", definition.job("work"), definition.name, 0.0)
-        wip.jobs["work"] = jip
+        wip._register_job("work", jip)  # submitted: the scheduler sees it active
         scheduler.on_workflow_submitted(wip, now=0.0)
         wips[definition.name] = wip
     return wips

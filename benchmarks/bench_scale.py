@@ -3,9 +3,9 @@
 Two sweeps, matching the two scale axes ISSUE 6 adds:
 
 * **cluster sweep** — one 500+-workflow workload simulated on clusters of
-  500, 1000 and 2000 TaskTrackers with the full runtime fast path on
-  (quiescent heartbeats + batched assignment): events/sec and wall clock
-  vs. cluster size.
+  500, 1000 and 2000 TaskTrackers with batched assignment on and the
+  periodic heartbeat loop off (eager rounds drive every assignment):
+  events/sec and wall clock vs. cluster size.
 * **worker sweep** — one experiment grid run through
   :func:`repro.experiments.runner.run_grid` at 0 (inline), 1, 2 and 4
   worker processes: wall clock vs. worker count, plus the hard invariant
@@ -74,7 +74,6 @@ def cluster_sweep(
             config = ClusterConfig(
                 num_nodes=nodes,
                 heartbeat_interval=float("inf"),
-                quiescent_heartbeats=True,
                 batched_assignment=True,
             )
             sim = ClusterSimulation(config, FifoScheduler())

@@ -1,24 +1,23 @@
-"""Simulation-runtime throughput: quiescent fast path vs. reference path.
+"""Simulation-runtime throughput: batched vs. per-call assignment.
 
-Two scenarios, matching how the runtime fast path (event-kernel tuples,
-quiescent heartbeat parking, incremental JobTracker bookkeeping; DESIGN.md
-§10) earns its keep:
+Two scenarios on the runtime fast path (event-kernel tuples, quiescent
+heartbeat parking, incremental JobTracker bookkeeping; DESIGN.md §10),
+which both sides of the comparison run:
 
 * **yahoo_trace** — the full Yahoo! trace on the paper's 200m+200r cluster
   with a 3 s heartbeat: a busy cluster where launch/complete events
-  dominate, so parking trims the tick tail but the win is modest.
+  dominate and rounds fill many slots at once.
 * **periodic_200node** — 200 nodes polling every 3 s while a handful of
-  long-task chains run: almost every tick is a no-op, so the reference
-  path burns an order of magnitude more events than the fast path parks
-  away.
+  long-task chains run: parking sheds almost every tick, so what is left
+  is mostly launch/complete work.
 
-Both scenarios run the *same* simulation twice, toggling the runtime fast
-path — ``ClusterConfig.quiescent_heartbeats`` plus
-``ClusterConfig.batched_assignment`` — as one switch.  The decision
-streams are byte-identical by construction (enforced in tier-1 by
-``tests/integration/test_heartbeat_equivalence.py`` and
-``tests/integration/test_batched_equivalence.py``), so wall-clock and
-event counts are directly comparable.
+Both scenarios run the *same* simulation twice, toggling
+``ClusterConfig.batched_assignment`` (DESIGN.md §11).  The decision
+streams and event counts are identical by construction (enforced in
+tier-1 by ``tests/integration/test_batched_equivalence.py``), so wall
+clocks are directly comparable.  Parking has no switch; its
+never-parking oracle lives with the tests
+(``tests/reference_assignment.py``).
 
 Besides the printed table, the run records a machine-readable
 ``BENCH_sim_throughput.json`` at the repo root so subsequent PRs have a
@@ -70,7 +69,7 @@ METRIC_KEYS = (
 
 
 def periodic_workflows(count: int = 6, task_s: float = 300.0) -> List[Workflow]:
-    """Staggered long-task ETL chains: ticks dominate, so parking pays most."""
+    """Staggered long-task ETL chains: without parking, ticks would dominate."""
     workflows = []
     for i in range(count):
         workflows.append(
@@ -148,7 +147,6 @@ def run_bench(
             trace_slots,
             nodes=trace_nodes,
             heartbeat_interval=HEARTBEAT_INTERVAL,
-            quiescent_heartbeats=fast,
             batched_assignment=fast,
         )
 
@@ -156,7 +154,6 @@ def run_bench(
         return ClusterConfig(
             num_nodes=periodic_nodes,
             heartbeat_interval=HEARTBEAT_INTERVAL,
-            quiescent_heartbeats=fast,
             batched_assignment=fast,
         )
 
@@ -208,8 +205,6 @@ def test_sim_throughput():
     emit("sim_throughput", table)
     write_json(payload)
 
-    # The tentpole's acceptance bar (ISSUE 5): >=3x wall clock on the
-    # 200-node periodic scenario; the busy trace must at least shed events.
-    assert scenarios["periodic_200node"]["speedup"] >= 3.0
-    assert scenarios["periodic_200node"]["fast_events"] < scenarios["periodic_200node"]["reference_events"]
-    assert scenarios["yahoo_trace"]["fast_events"] < scenarios["yahoo_trace"]["reference_events"]
+    # Batching changes no decision, so it can neither add nor shed events.
+    for name in SCENARIO_KEYS:
+        assert scenarios[name]["fast_events"] == scenarios[name]["reference_events"]

@@ -241,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--heartbeat", type=float, default=3.0,
                          help="heartbeat interval in seconds; 0 = event-driven")
     profile.add_argument("--reference", action="store_true",
-                         help="profile the reference path (fast path off)")
+                         help="profile the per-call assignment path "
+                              "(batched assignment off; serve: micro-batching off)")
     profile.add_argument("--top", type=int, default=15,
                          help="how many functions to print (default 15)")
     profile.add_argument("--sort", choices=("cumulative", "tottime"), default="cumulative")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 __all__ = ["ClusterConfig"]
@@ -20,19 +21,15 @@ class ClusterConfig:
         map_slots_per_node: map slots on each tracker.
         reduce_slots_per_node: reduce slots on each tracker.
         heartbeat_interval: seconds between a tracker's periodic heartbeats.
-            Hadoop-1 used ~3 s for small clusters.
+            Hadoop-1 used ~3 s for small clusters; ``inf`` disables the
+            periodic loop.
         eager_heartbeats: also trigger a scheduling round the moment a task
             finishes (Hadoop's out-of-band heartbeat,
             ``mapreduce.tasktracker.outofband.heartbeat``).  Keeps slot idle
-            time near zero; on by default, matching a tuned cluster.
-        quiescent_heartbeats: simulator fast path — park a tracker's
-            periodic heartbeat timer once a tick launches nothing and its
-            slots are full or unservable, waking it (re-aligned to its
-            original phase grid) on any state change that could make the
-            scheduler answer differently.  Only active alongside
-            ``eager_heartbeats`` (where every parked tick is provably a
-            no-op); decisions and traces are byte-identical either way
-            (DESIGN.md §10).  On by default.
+            time near zero; on by default, matching a tuned cluster.  With
+            a finite ``heartbeat_interval`` it also lets the simulator park
+            a tracker's periodic timer while every tick would be a no-op
+            (DESIGN.md §10).
         batched_assignment: simulator fast path for busy clusters — fill
             all free slots of a kind in one
             :meth:`~repro.schedulers.base.WorkflowScheduler.select_tasks`
@@ -57,7 +54,6 @@ class ClusterConfig:
     reduce_slots_per_node: int = 1
     heartbeat_interval: float = 3.0
     eager_heartbeats: bool = True
-    quiescent_heartbeats: bool = True
     batched_assignment: bool = False
     submit_task_duration: float = 1.0
     oozie_poll_interval: float = 0.0
@@ -69,10 +65,15 @@ class ClusterConfig:
             raise ValueError("slot counts must be non-negative")
         if self.map_slots_per_node + self.reduce_slots_per_node == 0:
             raise ValueError("cluster has no slots at all")
-        if self.heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be positive")
-        if self.submit_task_duration < 0 or self.oozie_poll_interval < 0:
-            raise ValueError("durations must be non-negative")
+        # Written as negated acceptance tests so NaN, for which every
+        # comparison is false, is rejected too.
+        if not self.heartbeat_interval > 0:
+            raise ValueError("heartbeat_interval must be positive (inf disables the loop)")
+        if not (
+            0 <= self.submit_task_duration < math.inf
+            and 0 <= self.oozie_poll_interval < math.inf
+        ):
+            raise ValueError("durations must be finite and non-negative")
 
     @property
     def total_map_slots(self) -> int:

@@ -186,11 +186,10 @@ class JobTracker:
         # wake-ups), and each tracker's phase anchor — the time its last
         # tick fired — so wakes re-align to the original tick grid.
         # Parking is only sound alongside eager heartbeats, where every
-        # periodic tick is provably a no-op (see DESIGN.md §10).
+        # periodic tick is provably a no-op (see DESIGN.md §10), and only
+        # means anything while there is a periodic loop to park.
         self._hb_quiescent = (
-            config.quiescent_heartbeats
-            and config.eager_heartbeats
-            and config.heartbeat_interval != float("inf")
+            config.eager_heartbeats and config.heartbeat_interval != float("inf")
         )
         self._parked: Dict[int, None] = {}
         # Bit i set iff trackers[i] is parked — mirrors ``_parked`` so the

@@ -261,73 +261,77 @@ class WohaScheduler(WorkflowScheduler):
         advanced = self._advance_ct_heads(now)
         tracing = self.tracer.enabled
         queue = self._queue
-        if not tracing:
-            # Untraced micro-kernel: the identical head-first walk and the
-            # identical decisions, minus the enumerate/skipped-list
-            # bookkeeping that exists only to populate decision events.
-            # Head first without building the generator — the common case
-            # is that the priority head has a runnable task.
-            head = queue.head_by_priority()
-            if head is None:
-                return None
-            # Per-workflow scan is bounded by the workflow's job count — the
-            # same §IV-B work-conservation exception the traced path claims.
-            task = _pick_task_in_workflow(head.payload, kind)  # repro: allow[DT203]
-            if task is not None:
-                return task
-            first = True
-            for entry in queue.iter_by_priority():  # repro: allow[DT203]
-                if first:  # the head was already probed (and proved empty)
-                    first = False
-                    continue
-                task = _pick_task_in_workflow(entry.payload, kind)  # repro: allow[DT203]
-                if task is not None:
-                    return task
+        # Serve the largest lag first, probing the head without building the
+        # generator: the common case is that the head has a runnable task.
+        # The per-workflow scan is bounded by that workflow's job count.
+        head = queue.head_by_priority()
+        if head is None:
+            if tracing:
+                self._record_decision(kind, now, None, None, [], advanced)
             return None
-        skipped: List[str] = []
-        # Serve the largest lag first; skip workflows with nothing runnable
-        # of this kind (work conservation).  The scan is O(1) on the common
-        # path (the priority head is runnable); it only walks past a prefix
-        # of workflows with no runnable task of this kind — the §IV-B
-        # work-conservation exception to the O(log n_w) claim.
-        for position, entry in enumerate(queue.iter_by_priority()):  # repro: allow[DT203]
-            record: _WorkflowRecord = entry.payload
+        record: _WorkflowRecord = head.payload
+        task = _pick_task_in_workflow(record, kind)  # repro: allow[DT203]
+        if task is not None:
+            if tracing:
+                self._record_decision(kind, now, record, task, [], advanced)
+            return task
+        # Skip workflows with nothing runnable of this kind (work
+        # conservation).  This walk past a prefix of unrunnable workflows
+        # is the §IV-B work-conservation exception to the O(log n_w) claim.
+        # Every workflow before the chosen one is skipped, so the traced
+        # ``skipped`` list doubles as the queue position.
+        skipped = [record.wip.name] if tracing else None
+        first = True
+        for entry in queue.iter_by_priority():  # repro: allow[DT203]
+            if first:  # the head was already probed (and proved empty)
+                first = False
+                continue
+            record = entry.payload
             task = _pick_task_in_workflow(record, kind)  # repro: allow[DT203]
             if task is not None:
                 if tracing:
-                    self.tracer.incr(self.name, "decisions")
-                    self.tracer.record(
-                        "decision",
-                        now,
-                        scheduler=self.name,
-                        slot_kind=kind.value,
-                        workflow=record.wip.name,
-                        task=task.task_id,
-                        lag=record.current_priority() if record.has_plan else None,
-                        queue_len=len(self._queue),
-                        position=position,
-                        skipped=skipped,
-                        ct_advances=advanced,
-                    )
+                    self._record_decision(kind, now, record, task, skipped, advanced)
                 return task
             if tracing:
                 skipped.append(record.wip.name)
         if tracing:
-            self.tracer.incr(self.name, "idle_decisions")
-            self.tracer.record(
-                "decision",
-                now,
-                scheduler=self.name,
-                slot_kind=kind.value,
-                workflow=None,
-                task=None,
-                lag=None,
-                queue_len=len(self._queue),
-                position=None,
-                skipped=skipped,
-                ct_advances=advanced,
-            )
+            self._record_decision(kind, now, None, None, skipped, advanced)
         return None
+
+    def _record_decision(
+        self,
+        kind: TaskKind,
+        now: float,
+        record: Optional[_WorkflowRecord],
+        task: Optional[Task],
+        skipped: List[str],
+        advanced: int,
+    ) -> None:
+        """Emit one traced ``decision`` event; ``record`` is ``None`` for an
+        idle answer."""
+        tracer = self.tracer
+        if record is None:
+            tracer.incr(self.name, "idle_decisions")
+            workflow = task_id = lag = position = None
+        else:
+            tracer.incr(self.name, "decisions")
+            workflow = record.wip.name
+            task_id = task.task_id
+            lag = record.current_priority() if record.has_plan else None
+            position = len(skipped)
+        tracer.record(
+            "decision",
+            now,
+            scheduler=self.name,
+            slot_kind=kind.value,
+            workflow=workflow,
+            task=task_id,
+            lag=lag,
+            queue_len=len(self._queue),
+            position=position,
+            skipped=skipped,
+            ct_advances=advanced,
+        )
 
     def on_task_assigned(self, task: Task, now: float) -> None:
         """Lines 20-23: the served workflow's rho grew, so its lag shrank."""

@@ -187,12 +187,12 @@ def profile_scenario(
 ) -> ProfileReport:
     """Profile one scenario run; returns the report (pure of global state).
 
-    ``fast`` toggles the runtime fast path (quiescent heartbeats plus
-    batched assignment) exactly like the throughput bench, so the two
-    profiles of a fast/reference pair attribute cost to the same decision
-    stream.  The ``serve`` scenario is special-cased: it profiles the
-    planning *service* request path (:func:`_profile_serve`) instead of a
-    cluster run, with ``fast`` toggling micro-batching.
+    ``fast`` toggles batched assignment exactly like the throughput
+    bench, so the two profiles of a fast/reference pair attribute cost to
+    the same decision stream; heartbeat parking runs in both.  The
+    ``serve`` scenario is special-cased: it profiles the planning
+    *service* request path (:func:`_profile_serve`) instead of a cluster
+    run, with ``fast`` toggling micro-batching.
     """
     if sort not in ("cumulative", "tottime"):
         raise ValueError(f"sort must be 'cumulative' or 'tottime', got {sort!r}")
@@ -211,7 +211,6 @@ def profile_scenario(
     config = ClusterConfig(
         num_nodes=nodes,
         heartbeat_interval=heartbeat if heartbeat > 0 else float("inf"),
-        quiescent_heartbeats=fast,
         batched_assignment=fast,
     )
     sim = ClusterSimulation(config, scheduler_obj, submission=mode, planner=planner)

@@ -87,29 +87,6 @@ class WorkflowScheduler(abc.ABC):
     # -- runnability hints (quiescent-heartbeat fast path) -----------------
 
     # repro: budget O(1)
-    def has_runnable(self, kind: TaskKind) -> bool:
-        """Cheap hint: may :meth:`select_task` return a task of ``kind``?
-
-        ``False`` is authoritative (a prior ``select_task`` proved idle and
-        nothing changed since); ``True`` merely permits asking.  The
-        JobTracker maintains the flag via :meth:`note_idle` /
-        :meth:`note_state_change` and reads the underlying ``maybe_map`` /
-        ``maybe_reduce`` attributes directly on its hot paths; schedulers
-        never flip it themselves.  Heartbeats never ask a kind whose hint
-        is down; untraced scheduling rounds skip it too when
-        :attr:`pure_idle_select` holds.
-        """
-        return self.maybe_map if kind is not TaskKind.REDUCE else self.maybe_reduce
-
-    # repro: budget O(1)
-    def note_idle(self, kind: TaskKind) -> None:
-        """Record that ``select_task(kind, ...)`` just returned ``None``."""
-        if kind is not TaskKind.REDUCE:
-            self.maybe_map = False
-        else:
-            self.maybe_reduce = False
-
-    # repro: budget O(1)
     def note_state_change(self) -> None:
         """Invalidate idle hints: cluster state changed in a way that could
         make ``select_task`` answer differently (submission, completion,
@@ -159,7 +136,7 @@ class WorkflowScheduler(abc.ABC):
         interleaving (decision, assign, decision, assign, ...) is the same
         as the unbatched path's.  Returns the number of tasks launched; a
         return value below ``limit`` is a proven-idle answer (the caller
-        records it via :meth:`note_idle`) and must be accompanied by the
+        lowers the kind's runnability hint) and must be accompanied by the
         same trailing idle ``decision`` event the unbatched path emits.
 
         This default replays the one-launch-per-call loop and is therefore

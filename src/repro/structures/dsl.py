@@ -85,17 +85,10 @@ class DoubleSkipList:
     def __init__(
         self,
         map_factory: Callable[[], OrderedMap] = DeterministicSkipList,
-        elide_noops: bool = True,
     ) -> None:
         self._ct_list = map_factory()  # repro: calls[DeterministicSkipList, repro.structures.avl.AvlTree, repro.structures.naive.SortedListMap]
         self._priority_list = map_factory()  # repro: calls[DeterministicSkipList, repro.structures.avl.AvlTree, repro.structures.naive.SortedListMap]
         self._entries: Dict[Any, DoubleEntry] = {}
-        # With elision on (the default), the update paths skip the
-        # remove+reinsert churn when the new key equals the old one: the
-        # entry's position cannot change, so the structural dance is a
-        # provable no-op.  The flag exists so equivalence tests can run the
-        # same op sequence both ways and assert identical orders/traces.
-        self._elide = elide_noops
         # Runtime contract checker (repro.analysis.contracts); the null
         # singleton until one is attached, so every mutation pays exactly
         # one attribute read + branch when contracts are off.
@@ -178,39 +171,28 @@ class DoubleSkipList:
 
         This is the paper's cheap path: the ct deletion is a head deletion
         (O(1)); the reinsertion and the priority-list move are O(log n).
-        With elision on, each list is touched only when its key actually
-        changes — an unchanged key means an identical position, so the
-        remove+reinsert would be a structural no-op.
+        Each list is touched only when its key actually changes — an
+        unchanged key means an identical position, so the remove+reinsert
+        would be a structural no-op.
         """
         ct_list = self._ct_list
-        priority_list = self._priority_list
-        if self._elide:
-            head = ct_list.peek_head()
-            if head is None:
-                raise KeyError("update_head_ct on empty DoubleSkipList")
-            entry: DoubleEntry = head[1]
-            ct_same = new_ct == entry._ct
-            priority_same = new_priority == entry._priority
-            if ct_same and priority_same:
-                return entry  # nothing moved: no churn, nothing to re-check
-            if not ct_same:
-                ct_list.pop_head()
-                entry.ct = new_ct
-                ct_list.insert(entry.ct_key, entry)
-            if not priority_same:
-                priority_list.delete(entry.priority_key)
-                entry.priority = new_priority
-                priority_list.insert(entry.priority_key, entry)
-            if self.contracts.enabled:
-                self.contracts.check_dsl(self)
-            return entry
-        key, entry = ct_list.pop_head()
-        assert key == entry.ct_key
-        priority_list.delete(entry.priority_key)
-        entry.ct = new_ct
-        entry.priority = new_priority
-        ct_list.insert(entry.ct_key, entry)
-        priority_list.insert(entry.priority_key, entry)
+        head = ct_list.peek_head()
+        if head is None:
+            raise KeyError("update_head_ct on empty DoubleSkipList")
+        entry: DoubleEntry = head[1]
+        ct_same = new_ct == entry._ct
+        priority_same = new_priority == entry._priority
+        if ct_same and priority_same:
+            return entry  # nothing moved: no churn, nothing to re-check
+        if not ct_same:
+            ct_list.pop_head()
+            entry.ct = new_ct
+            ct_list.insert(entry.ct_key, entry)
+        if not priority_same:
+            priority_list = self._priority_list
+            priority_list.delete(entry.priority_key)
+            entry.priority = new_priority
+            priority_list.insert(entry.priority_key, entry)
         if self.contracts.enabled:
             self.contracts.check_dsl(self)
         return entry
@@ -221,12 +203,12 @@ class DoubleSkipList:
 
         Used after a task assignment (``rho += 1`` so the lag drops by one).
         When the workflow is the current priority head — the common case,
-        since assignments go to the head — the deletion is O(1).  With
-        elision on, an unchanged priority returns immediately (the common
-        case for unplanned workflows, whose lag is pinned at -inf).
+        since assignments go to the head — the deletion is O(1).  An
+        unchanged priority returns immediately (the common case for
+        unplanned workflows, whose lag is pinned at -inf).
         """
         entry = self._entries[item_id]
-        if self._elide and new_priority == entry._priority:
+        if new_priority == entry._priority:
             return entry
         priority_list = self._priority_list
         head = priority_list.peek_head()
@@ -242,9 +224,10 @@ class DoubleSkipList:
 
     # repro: budget O(log n)
     def update_ct(self, item_id: Any, new_ct: float) -> DoubleEntry:
-        """Reposition one workflow in the ct list only."""
+        """Reposition one workflow in the ct list only (no-op when the ct
+        is unchanged)."""
         entry = self._entries[item_id]
-        if self._elide and new_ct == entry._ct:
+        if new_ct == entry._ct:
             return entry
         ct_list = self._ct_list
         ct_list.delete(entry.ct_key)

@@ -4,6 +4,9 @@ import pytest
 
 from repro.cluster.config import ClusterConfig
 
+NAN = float("nan")
+INF = float("inf")
+
 
 class TestValidation:
     def test_totals(self):
@@ -31,6 +34,27 @@ class TestValidation:
     def test_negative_durations_rejected(self):
         with pytest.raises(ValueError):
             ClusterConfig(num_nodes=1, submit_task_duration=-1.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("heartbeat_interval", NAN),
+            ("submit_task_duration", NAN),
+            ("oozie_poll_interval", NAN),
+            ("submit_task_duration", INF),
+            ("oozie_poll_interval", INF),
+        ],
+    )
+    def test_nan_and_infinite_durations_rejected(self, field, value):
+        # Every comparison with NaN is false, so range checks written as
+        # "reject if out of range" wave it through.
+        with pytest.raises(ValueError):
+            ClusterConfig(num_nodes=1, **{field: value})
+
+    def test_infinite_heartbeat_interval_allowed(self):
+        # An infinite interval disables the periodic loop (eager rounds
+        # alone drive assignment).
+        assert ClusterConfig(num_nodes=1, heartbeat_interval=INF).heartbeat_interval == INF
 
 
 class TestFactories:

@@ -12,6 +12,8 @@ from repro.events import Simulator
 from repro.schedulers.fifo import FifoScheduler
 from repro.workflow.builder import WorkflowBuilder
 
+from tests.reference_assignment import use_unparked_heartbeats
+
 
 def rig(nodes=4):
     sim = Simulator()
@@ -199,7 +201,7 @@ class TestFailureSchedule:
         assert injector.killed and injector.revived
 
     @staticmethod
-    def _run_scripted(quiescent):
+    def _run_scripted():
         """Long tasks with a 3 s heartbeat: timers park almost immediately,
         then a scripted outage must wake them (kill at t=40, revive t=100)."""
         config = ClusterConfig(
@@ -207,7 +209,6 @@ class TestFailureSchedule:
             map_slots_per_node=2,
             reduce_slots_per_node=1,
             heartbeat_interval=3.0,
-            quiescent_heartbeats=quiescent,
         )
         sim = ClusterSimulation(config, FifoScheduler(), trace=True)
         sim.add_workflows(
@@ -222,9 +223,10 @@ class TestFailureSchedule:
         schedule.apply(sim.sim, sim.jobtracker)
         return sim.run()
 
-    def test_parking_on_off_byte_identical_under_scripted_outage(self):
-        fast = self._run_scripted(quiescent=True)
-        reference = self._run_scripted(quiescent=False)
+    def test_parking_on_off_byte_identical_under_scripted_outage(self, monkeypatch):
+        fast = self._run_scripted()
+        use_unparked_heartbeats(monkeypatch)
+        reference = self._run_scripted()
         assert fast.tracer.dumps_jsonl() == reference.tracer.dumps_jsonl()
         assert fast.stats == reference.stats
         assert fast.makespan == reference.makespan

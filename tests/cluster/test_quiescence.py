@@ -7,6 +7,8 @@ from repro.events import Simulator
 from repro.schedulers.fifo import FifoScheduler
 from repro.workflow.builder import WorkflowBuilder
 
+from tests.reference_assignment import has_runnable, use_unparked_heartbeats
+
 
 class CountingFifo(FifoScheduler):
     def __init__(self):
@@ -18,14 +20,9 @@ class CountingFifo(FifoScheduler):
         return super().select_task(kind, now)
 
 
-def make_jt(interval=3.0, eager=True, quiescent=True, nodes=3, scheduler=None):
+def make_jt(interval=3.0, eager=True, nodes=3, scheduler=None):
     sim = Simulator()
-    config = ClusterConfig(
-        num_nodes=nodes,
-        heartbeat_interval=interval,
-        eager_heartbeats=eager,
-        quiescent_heartbeats=quiescent,
-    )
+    config = ClusterConfig(num_nodes=nodes, heartbeat_interval=interval, eager_heartbeats=eager)
     jt = JobTracker(sim, config, scheduler or FifoScheduler())
     return sim, jt
 
@@ -57,12 +54,25 @@ class TestParking:
         assert sim.pending_events == 0
         assert sorted(jt._parked) == [0, 1, 2]
 
-    def test_no_parking_when_flag_off(self):
-        sim, jt = make_jt(quiescent=False)
+    def test_unparked_oracle_never_parks(self, monkeypatch):
+        use_unparked_heartbeats(monkeypatch)
+        sim, jt = make_jt()
         jt.start_heartbeats()
         sim.run(until=10.0)
         assert sim.pending_events == 3
         assert not jt._parked
+
+    def test_tracker_with_servable_slot_is_not_quiescent(self):
+        scheduler = FifoScheduler()
+        sim, jt = make_jt(scheduler=scheduler)
+        tracker = jt.trackers[0]
+        assert tracker.free_map_slots > 0 and tracker.free_reduce_slots > 0
+        scheduler.maybe_map, scheduler.maybe_reduce = True, False
+        assert not jt._tracker_quiescent(tracker)
+        scheduler.maybe_map, scheduler.maybe_reduce = False, True
+        assert not jt._tracker_quiescent(tracker)
+        scheduler.maybe_map, scheduler.maybe_reduce = False, False
+        assert jt._tracker_quiescent(tracker)
 
     def test_no_parking_without_eager_heartbeats(self):
         # Parking is only provably invisible under eager heartbeats; with
@@ -120,8 +130,8 @@ class TestRunnabilityHints:
         scheduler = CountingFifo()
         sim, jt = make_jt(scheduler=scheduler)
         jt.heartbeat(jt.trackers[0])
-        assert not scheduler.has_runnable(TaskKind.MAP)
-        assert not scheduler.has_runnable(TaskKind.REDUCE)
+        assert not has_runnable(scheduler, TaskKind.MAP)
+        assert not has_runnable(scheduler, TaskKind.REDUCE)
         jt.submit_workflow(diamond())
         # The submission marked the scheduler dirty (and the eager round
         # drained it back to proven-idle for whatever cannot run yet).

@@ -12,6 +12,8 @@ from repro.schedulers.fair import FairScheduler
 from repro.schedulers.fifo import FifoScheduler
 from repro.workflow.builder import WorkflowBuilder
 
+from tests.reference_assignment import use_unparked_heartbeats
+
 
 class TestOozieMode:
     def test_single_workflow_completes(self, small_workflow, tiny_cluster):
@@ -161,8 +163,8 @@ class TestMultiWorkflow:
 class TestFiniteHeartbeatRunLoop:
     """Regressions for the periodic-heartbeat branch of ClusterSimulation.run."""
 
-    def _sim(self, **config_kwargs):
-        config = ClusterConfig(num_nodes=2, heartbeat_interval=3.0, **config_kwargs)
+    def _sim(self):
+        config = ClusterConfig(num_nodes=2, heartbeat_interval=3.0)
         sim = ClusterSimulation(config, FifoScheduler(), submission="oozie")
         wf = WorkflowBuilder("w").job("a", maps=2, reduces=1, map_s=10, reduce_s=10).build()
         sim.add_workflow(wf)
@@ -184,9 +186,10 @@ class TestFiniteHeartbeatRunLoop:
         assert sim.sim.now == 10.0
         assert sim.jobtracker.workflows["w"].jobs["a"].maps_finished == 2
 
-    def test_max_events_honoured_with_periodic_heartbeats(self):
+    def test_max_events_honoured_with_periodic_heartbeats(self, monkeypatch):
         # The finite-heartbeat branch used to ignore max_events entirely.
-        sim = self._sim(quiescent_heartbeats=False)
+        use_unparked_heartbeats(monkeypatch)
+        sim = self._sim()
         with pytest.raises(SimulationError):
             sim.run(max_events=5)
 

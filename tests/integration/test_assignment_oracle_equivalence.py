@@ -10,6 +10,12 @@ the production loops and on the frozen per-call loops of
 :mod:`tests.reference_assignment`, untraced and traced, and the two runs
 must launch the same tasks at the same times on the same trackers and end
 with equal stats, makespan and event count.
+
+``WohaScheduler.select_task`` walks the priority list once, traced or not;
+the same comparison against the frozen two-walk kernel of
+:mod:`tests.reference_woha` pins its decisions and, traced, its
+``decision`` payloads (queue position and skipped workflows) byte for
+byte.
 """
 
 import random
@@ -32,6 +38,7 @@ from repro.schedulers.fifo import FifoScheduler
 from repro.workflow.builder import WorkflowBuilder
 
 from tests.reference_assignment import use_reference_loops
+from tests.reference_woha import use_reference_select_task
 
 SCHEDULERS = {
     "fifo": FifoScheduler,
@@ -109,12 +116,13 @@ def run_once(sched_name, mode, heartbeat, *, trace, seed=0, batched=False, outag
     return log.launches, sim.run(), scheduler
 
 
-def assert_matches_reference(**kwargs):
-    """Run the scenario on the production and the reference loops and
-    compare; returns the production run's scheduler."""
+def assert_matches_reference(use_reference=use_reference_loops, **kwargs):
+    """Run the scenario on the production code and on the reference that
+    ``use_reference`` patches in, and compare; returns the production
+    run's scheduler and result."""
     launches, result, scheduler = run_once(**kwargs)
     with pytest.MonkeyPatch.context() as patch:
-        use_reference_loops(patch)
+        use_reference(patch)
         ref_launches, reference, _ = run_once(**kwargs)
     assert launches == ref_launches
     assert result.stats == reference.stats
@@ -124,7 +132,7 @@ def assert_matches_reference(**kwargs):
         # A traced round still asks for an idle kind, so even the idle
         # decision events line up.
         assert result.tracer.dumps_jsonl() == reference.tracer.dumps_jsonl()
-    return scheduler
+    return scheduler, result
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -148,8 +156,8 @@ def test_batched_rounds_match_reference(sched_name, heartbeat, trace):
 
 def test_replanning_scenario_really_replans():
     """The replan cases above are only meaningful if plans get replaced."""
-    scheduler = assert_matches_reference(sched_name="woha-replan", mode="woha", heartbeat=INF,
-                                         trace=False)
+    scheduler, _ = assert_matches_reference(sched_name="woha-replan", mode="woha",
+                                            heartbeat=INF, trace=False)
     assert scheduler.replans > 0
 
 
@@ -189,3 +197,19 @@ def test_reference_equivalence_under_failures(seed, sched_name, trace, batched, 
     )
     assert_matches_reference(sched_name=sched_name, mode="oozie", heartbeat=3.0, trace=trace,
                              seed=seed, batched=batched, outages=outages)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("heartbeat", [3.0, INF], ids=["hb3", "hbinf"])
+@pytest.mark.parametrize("mode", ["oozie", "woha"])
+@pytest.mark.parametrize("sched_name", ["woha-dsl", "woha-bst", "woha-list", "woha-replan"])
+def test_woha_kernel_matches_two_walk_reference(sched_name, mode, heartbeat, trace, seed):
+    _, result = assert_matches_reference(use_reference=use_reference_select_task,
+                                         sched_name=sched_name, mode=mode, heartbeat=heartbeat,
+                                         trace=trace, seed=seed)
+    if trace:
+        # The walk past the head must actually run, or the skipped-list
+        # and position payloads go untested.
+        decisions = result.tracer.events("decision")
+        assert any(event["skipped"] and event["task"] for event in decisions)

@@ -1,8 +1,9 @@
-"""Quiescent-heartbeat equivalence: the fast path changes no decision.
+"""Quiescent-heartbeat equivalence: parking changes no decision.
 
 The quiescence protocol (DESIGN.md §10) parks periodic heartbeat timers
-whose ticks are provably no-ops and wakes them on state changes.  These
-tests pin the correctness bar from ISSUE 5: with the fast path on vs. off,
+whose ticks are provably no-ops and wakes them on state changes.  Each
+scenario runs on the production JobTracker and on the never-parking oracle
+of :func:`tests.reference_assignment.use_unparked_heartbeats`:
 DecisionTracer logs must be byte-identical and every WorkflowStats equal,
 across seeds, both submission modes, all four schedulers, and finite vs.
 infinite heartbeat intervals — including under random submit/complete/kill
@@ -24,6 +25,8 @@ from repro.schedulers.edf import EdfScheduler
 from repro.schedulers.fair import FairScheduler
 from repro.schedulers.fifo import FifoScheduler
 from repro.workflow.builder import WorkflowBuilder
+
+from tests.reference_assignment import use_unparked_heartbeats
 
 SCHEDULERS = {
     "fifo": FifoScheduler,
@@ -56,13 +59,12 @@ def build_workload(seed: int, n_workflows: int = 3):
     return workflows
 
 
-def run_once(seed, mode, sched_name, heartbeat_interval, quiescent, outages=()):
+def run_once(seed, mode, sched_name, heartbeat_interval, outages=()):
     config = ClusterConfig(
         num_nodes=4,
         map_slots_per_node=2,
         reduce_slots_per_node=1,
         heartbeat_interval=heartbeat_interval,
-        quiescent_heartbeats=quiescent,
     )
     planner = make_planner("lpf") if mode == "woha" else None
     sim = ClusterSimulation(
@@ -74,13 +76,22 @@ def run_once(seed, mode, sched_name, heartbeat_interval, quiescent, outages=()):
     return sim.run()
 
 
+def run_pair(*args, **kwargs):
+    """The same scenario on the production JobTracker and on the
+    never-parking oracle."""
+    fast = run_once(*args, **kwargs)
+    with pytest.MonkeyPatch.context() as patch:
+        use_unparked_heartbeats(patch)
+        reference = run_once(*args, **kwargs)
+    return fast, reference
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("mode", ["oozie", "woha"])
 @pytest.mark.parametrize("sched_name", sorted(SCHEDULERS))
 @pytest.mark.parametrize("heartbeat_interval", [3.0, float("inf")])
 def test_quiescent_heartbeats_change_nothing(seed, mode, sched_name, heartbeat_interval):
-    fast = run_once(seed, mode, sched_name, heartbeat_interval, quiescent=True)
-    reference = run_once(seed, mode, sched_name, heartbeat_interval, quiescent=False)
+    fast, reference = run_pair(seed, mode, sched_name, heartbeat_interval)
     assert fast.tracer.dumps_jsonl() == reference.tracer.dumps_jsonl()
     assert fast.stats == reference.stats
     assert fast.makespan == reference.makespan
@@ -90,8 +101,7 @@ def test_quiescent_heartbeats_change_nothing(seed, mode, sched_name, heartbeat_i
 
 def test_fast_path_actually_parks():
     """With long tasks and a finite interval, parking must drop events."""
-    fast = run_once(2, "oozie", "fifo", 3.0, quiescent=True)
-    reference = run_once(2, "oozie", "fifo", 3.0, quiescent=False)
+    fast, reference = run_pair(2, "oozie", "fifo", 3.0)
     assert fast.tracer.dumps_jsonl() == reference.tracer.dumps_jsonl()
     assert fast.events_processed < reference.events_processed
 
@@ -109,7 +119,8 @@ def test_fast_path_actually_parks():
     ),
 )
 def test_park_wake_equivalence_under_failures(seed, sched_name, outage_plan):
-    """Random submit/complete/kill/revive interleavings: on/off identical.
+    """Random submit/complete/kill/revive interleavings: parked and
+    unparked runs identical.
 
     Each outage hits a distinct tracker and always revives, so every
     workflow eventually completes and both runs terminate.
@@ -118,7 +129,6 @@ def test_park_wake_equivalence_under_failures(seed, sched_name, outage_plan):
         Outage(time=kill_time, tracker_id=i, down_for=down_for)
         for i, (kill_time, down_for) in enumerate(outage_plan)
     )
-    fast = run_once(seed, "oozie", sched_name, 3.0, quiescent=True, outages=outages)
-    reference = run_once(seed, "oozie", sched_name, 3.0, quiescent=False, outages=outages)
+    fast, reference = run_pair(seed, "oozie", sched_name, 3.0, outages=outages)
     assert fast.tracer.dumps_jsonl() == reference.tracer.dumps_jsonl()
     assert fast.stats == reference.stats

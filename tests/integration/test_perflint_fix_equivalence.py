@@ -8,10 +8,12 @@ the surviving allocations with ``# repro: allow[DT401]`` bargains.  A
 pre-bind is a pure strength reduction — same loads, same order, fewer
 dict probes — so the DecisionTracer stream must be byte-identical across
 every configuration corner that routes through the edited functions:
-(quiescent heartbeats on/off) x (batched assignment on/off).  The
-quiescent and batched equivalences are each pinned separately by their
-own suites; asserting all four corners agree additionally pins the
-*composition*, which crosses every edited function in one run.
+(parked heartbeats vs. the never-parking oracle of
+:func:`tests.reference_assignment.use_unparked_heartbeats`) x (batched
+assignment on/off).  The parking and batched equivalences are each pinned
+separately by their own suites; asserting all four corners agree
+additionally pins the *composition*, which crosses every edited function
+in one run.
 
 The suite also pins the acceptance bar itself: the production tree must
 stay free of DT401-DT405 findings under ``repro lint --interproc``.
@@ -31,6 +33,8 @@ from repro.schedulers.edf import EdfScheduler
 from repro.schedulers.fair import FairScheduler
 from repro.schedulers.fifo import FifoScheduler
 from repro.workflow.builder import WorkflowBuilder
+
+from tests.reference_assignment import use_unparked_heartbeats
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -72,15 +76,17 @@ def run_once(seed, mode, sched_name, *, quiescent, batched):
         map_slots_per_node=2,
         reduce_slots_per_node=1,
         heartbeat_interval=3.0,
-        quiescent_heartbeats=quiescent,
         batched_assignment=batched,
     )
     planner = make_planner("lpf") if mode == "woha" else None
-    sim = ClusterSimulation(
-        config, SCHEDULERS[sched_name](), submission=mode, planner=planner, trace=True
-    )
-    sim.add_workflows(build_workload(seed))
-    return sim.run()
+    with pytest.MonkeyPatch.context() as patch:
+        if not quiescent:
+            use_unparked_heartbeats(patch)
+        sim = ClusterSimulation(
+            config, SCHEDULERS[sched_name](), submission=mode, planner=planner, trace=True
+        )
+        sim.add_workflows(build_workload(seed))
+        return sim.run()
 
 
 @pytest.mark.parametrize("seed", [0, 1])

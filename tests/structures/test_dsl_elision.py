@@ -1,10 +1,11 @@
-"""No-op-reorder elision and key caching (ISSUE 7 satellite).
+"""No-op-reorder elision and key caching.
 
 The DSL update paths skip the remove+reinsert churn when the new key equals
 the old one.  Elision must be *invisible*: any op sequence replayed against
-an eliding and a non-eliding DSL has to leave both orderings identical, and
-a whole scheduler run on top of an eliding queue has to emit byte-identical
-decision traces.
+the production DSL and the always-churning oracle of
+:class:`tests.reference_woha.ChurningDoubleSkipList` has to leave both
+orderings identical, and a whole scheduler run on top of the eliding queue
+has to emit byte-identical decision traces.
 """
 
 from hypothesis import given, settings
@@ -15,6 +16,8 @@ from repro.cluster.simulation import ClusterSimulation
 from repro.experiments.runner import _make_stack
 from repro.experiments.scenarios import yahoo_scenario
 from repro.structures.dsl import DoubleEntry, DoubleSkipList
+
+from tests.reference_woha import ChurningDoubleSkipList
 
 
 def snapshot(dsl):
@@ -36,8 +39,8 @@ _VALUES = st.integers(-3, 3)
 )
 @settings(max_examples=80, deadline=None)
 def test_elision_on_and_off_keep_identical_orders(ops, data):
-    eliding = DoubleSkipList(elide_noops=True)
-    plain = DoubleSkipList(elide_noops=False)
+    eliding = DoubleSkipList()
+    plain = ChurningDoubleSkipList()
     live = set()
     for item, priority, ct in ops:
         choice = data.draw(
@@ -79,7 +82,7 @@ def test_elision_on_and_off_keep_identical_orders(ops, data):
 
 
 def test_fully_elided_head_update_touches_nothing():
-    dsl = DoubleSkipList(elide_noops=True)
+    dsl = DoubleSkipList()
     dsl.insert("a", ct=1.0, priority=2.0)
     dsl.insert("b", ct=5.0, priority=9.0)
     entry = dsl.get("a")
@@ -105,9 +108,10 @@ def test_cached_keys_track_setters():
 def _traced_run(elide: bool) -> str:
     workflows, _ = yahoo_scenario(seed=7, scale=0.05)
     scheduler, mode, planner = _make_stack("woha-lpf")
-    # The queue is empty until the first submission, so swapping in a
-    # non-eliding twin before the run is equivalent to a constructor flag.
-    scheduler._queue = DoubleSkipList(elide_noops=elide)
+    # The queue is empty until the first submission, so swapping in the
+    # churning twin before the run is equivalent to building it that way.
+    if not elide:
+        scheduler._queue = ChurningDoubleSkipList()
     config = ClusterConfig(num_nodes=4, heartbeat_interval=3.0)
     sim = ClusterSimulation(config, scheduler, submission=mode, planner=planner, trace=True)
     sim.add_workflows(workflows)
