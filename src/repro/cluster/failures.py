@@ -40,9 +40,9 @@ class FailureSchedule:
     schedule triggers lands in
     :meth:`~repro.cluster.jobtracker.JobTracker.kill_tracker` /
     :meth:`~repro.cluster.jobtracker.JobTracker.revive_tracker`, both of
-    which end in ``_mark_scheduler_dirty`` — the scheduler's
-    ``note_state_change`` plus a wake of every quiescent-parked heartbeat
-    timer whose tracker could now be served.  Traces are therefore
+    which end in the scheduler's ``note_state_change`` and an eager round
+    that, once done, wakes every quiescent-parked heartbeat timer whose
+    tracker could still be served.  Traces are therefore
     byte-identical with parking on or off under any schedule
     (``tests/cluster/test_failures.py::TestFailureSchedule``).
     """

@@ -28,7 +28,7 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.job import JobInProgress, SubmitterJob
 from repro.cluster.tasks import Task, TaskKind
 from repro.cluster.tasktracker import TaskTracker
-from repro.events import Simulator
+from repro.events import EventHandle, Simulator
 from repro.schedulers.base import WorkflowScheduler
 from repro.trace import NULL_TRACER, DecisionTracer, NullTracer
 from repro.workflow.model import Workflow
@@ -197,6 +197,8 @@ class JobTracker:
         # iterating the parked set per state change.
         self._parked_mask = 0
         self._hb_anchor: List[float] = [0.0] * config.num_nodes
+        # Each tracker's pending tick, so kill_tracker can end its chain.
+        self._hb_handle: List[Optional[EventHandle]] = [None] * config.num_nodes
         # Unfinished wjobs registered via submit_wjob (submitters excluded),
         # maintained on submission/completion transitions.
         self._wjob_running = 0
@@ -306,7 +308,7 @@ class JobTracker:
             for name in workflow.roots():
                 submitter.unlock(name)
             self.scheduler.on_wjob_submitted(submitter, self.sim.now)
-        self._mark_scheduler_dirty()
+        self.scheduler.note_state_change()
         self.schedule_round()
         return wip
 
@@ -338,7 +340,7 @@ class JobTracker:
         self._wjob_running += 1
         self._notify("on_wjob_submitted", jip, self.sim.now)
         self.scheduler.on_wjob_submitted(jip, self.sim.now)
-        self._mark_scheduler_dirty()
+        self.scheduler.note_state_change()
         self.schedule_round()
         return jip
 
@@ -360,7 +362,9 @@ class JobTracker:
             offset = interval * (tracker.tracker_id + 1) / len(self.trackers)
             tick_time = self.sim.now + offset
             self._hb_anchor[tracker.tracker_id] = tick_time
-            self.sim.schedule(tick_time, self._heartbeat_tick, tracker)
+            self._hb_handle[tracker.tracker_id] = self.sim.schedule(
+                tick_time, self._heartbeat_tick, tracker
+            )
 
     # repro: budget O(n)
     def _heartbeat_tick(self, tracker: TaskTracker) -> None:
@@ -378,15 +382,17 @@ class JobTracker:
         parked = self._parked
         if self._hb_quiescent and not launched and self._tracker_quiescent(tracker):
             # Park the timer: under eager heartbeats this tick was a no-op
-            # and every future one would be too, until a wake condition
-            # (_mark_scheduler_dirty / a slot freeing) re-arms it on the
+            # and every future one would be too, until a wake (after a
+            # round, a plan install or a slot freeing) re-arms it on the
             # same phase grid.
             parked[tid] = None
             self._parked_mask |= 1 << tid
             return
         parked.pop(tid, None)
         self._parked_mask &= ~(1 << tid)
-        sim.schedule(sim.now + config.heartbeat_interval, self._heartbeat_tick, tracker)
+        self._hb_handle[tid] = sim.schedule(
+            sim.now + config.heartbeat_interval, self._heartbeat_tick, tracker
+        )
 
     # repro: budget O(1)
     def _tracker_quiescent(self, tracker: TaskTracker) -> bool:
@@ -485,22 +491,11 @@ class JobTracker:
         interval = self.config.heartbeat_interval
         parked = self._parked
         hb_anchor = self._hb_anchor
+        hb_handle = self._hb_handle
         trackers = self.trackers
         tick_cb = self._heartbeat_tick
-        if not mask & (mask - 1):
-            # Exactly one wakeable tracker (the common case after a single
-            # completion): skip the parked-order scan — order is moot.
-            tid = mask.bit_length() - 1
-            del parked[tid]
-            self._parked_mask &= ~mask
-            anchor = hb_anchor[tid]
-            tick = anchor + (int((now - anchor) / interval) + 1) * interval
-            if tick <= now:
-                tick += interval
-            sim.schedule(tick, tick_cb, trackers[tid])
-            return
-        # Multiple wake-ups: walk in parked (insertion) order so timers that
-        # land on the same tick instant keep their established FIFO order.
+        # Walk in parked (insertion) order so timers that land on the same
+        # tick instant keep their established FIFO order.
         woken = [tid for tid in parked if mask >> tid & 1]
         for tid in woken:
             del parked[tid]
@@ -509,19 +504,18 @@ class JobTracker:
             tick = anchor + (math.floor((now - anchor) / interval) + 1) * interval
             if tick <= now:
                 tick += interval
-            sim.schedule(tick, tick_cb, trackers[tid])
+            hb_handle[tid] = sim.schedule(tick, tick_cb, trackers[tid])
 
     # repro: budget O(n)
-    def _mark_scheduler_dirty(self) -> None:
-        """A state change could make ``select_task`` answer differently:
-        refresh the scheduler's runnability hints and wake parked timers."""
+    def notify_plan_installed(self) -> None:
+        """A scheduling plan was (re)installed mid-run (replanning path).
+
+        The one state change no eager round follows: refresh the
+        scheduler's runnability hints and wake parked timers here.
+        """
         self.scheduler.note_state_change()
         if self._parked:
             self._wake_parked()
-
-    def notify_plan_installed(self) -> None:
-        """A scheduling plan was (re)installed mid-run (replanning path)."""
-        self._mark_scheduler_dirty()
 
     # repro: budget O(1)
     def _may_skip_idle(self) -> bool:
@@ -547,11 +541,12 @@ class JobTracker:
         from the scheduler means no tracker can be served, so the sweep is
         O(assignments), not O(trackers x assignments).  A kind already
         proven idle is not asked again where :meth:`_may_skip_idle` allows.
+        Parked heartbeat timers are woken once the outermost round ends.
         """
         config = self.config
         if not config.eager_heartbeats or self._in_round:
             # Re-entrant calls (a submission triggered from within a
-            # completion) fold into the outer round's loop.
+            # completion) fold into the outer round's loop and wake.
             return
         self._in_round = True
         try:
@@ -602,6 +597,13 @@ class JobTracker:
                     launch(task, pick(kind))
         finally:
             self._in_round = False
+            # Wake parked timers from the post-round state, where every kind
+            # is slot-saturated or proven idle: a tracker left wakeable has a
+            # servable free slot.  Waking before the round would re-arm timers
+            # for slots the round is about to fill or prove idle — ticks that
+            # fire, find nothing, and re-park, at one queue event apiece.
+            if self._parked:
+                self._wake_parked()
 
     # repro: budget O(n)
     def _round_batched(self) -> None:
@@ -769,14 +771,6 @@ class JobTracker:
         if maps_done or job_done:
             scheduler.note_state_change()
         self.schedule_round()
-        # Wake parked timers from the POST-round state: the eager round just
-        # ended with every kind either slot-saturated or proven idle, so any
-        # tracker it leaves wakeable genuinely has a servable free slot.
-        # Waking before the round would re-arm timers for slots the round is
-        # about to refill — ticks that fire, find nothing (the provable
-        # no-op invariant), and re-park, at one queue event apiece.
-        if self._parked:
-            self._wake_parked()
 
     def _kill_attempt(self, task: Task) -> None:
         """Retire a running attempt whose logical task is covered elsewhere."""
@@ -794,10 +788,6 @@ class JobTracker:
         self._update_free_mask(tracker)
         task.job.on_attempt_killed(task)
         self._notify("on_task_lost", task, self.sim.now)
-        if self._parked:
-            # A slot freed on a possibly-parked tracker: wake it if the
-            # scheduler may have something for it.
-            self._wake_parked()
 
     def _trace_slot_free(self, task: Task, now: float) -> None:
         """Record a slot returning to the pool (tracer attached only)."""
@@ -829,11 +819,15 @@ class JobTracker:
             raise ValueError(f"tracker {tracker_id} is already dead")
         now = self.sim.now
         tracker.alive = False
-        # Idle slots leave the pool; a parked timer dies with the tracker
-        # (revive_tracker re-arms it).
+        # Idle slots leave the pool; the timer dies with the tracker, pending
+        # or parked (revive_tracker re-arms it).  A pending tick is cancelled
+        # so a revive before it fires leaves one chain, not two.
         self._free_maps -= tracker.free_map_slots
         self._free_reduces -= tracker.free_reduce_slots
         self._update_free_mask(tracker)
+        handle = self._hb_handle[tracker_id]
+        if handle is not None:
+            handle.cancel()
         self._parked.pop(tracker_id, None)
         self._parked_mask &= ~(1 << tracker_id)
         lost = list(tracker.running)
@@ -860,7 +854,7 @@ class JobTracker:
             rerun = jip.invalidate_map_outputs(tracker_id)
             if rerun and jip.workflow_name is not None:
                 self.workflows[jip.workflow_name].scheduled_tasks -= rerun
-        self._mark_scheduler_dirty()
+        self.scheduler.note_state_change()
         self.schedule_round()
         return lost
 
@@ -876,8 +870,10 @@ class JobTracker:
         if self.config.heartbeat_interval != float("inf"):
             self._parked.pop(tracker_id, None)
             self._parked_mask &= ~(1 << tracker_id)
-            self.sim.schedule_after(self.config.heartbeat_interval, self._heartbeat_tick, tracker)
-        self._mark_scheduler_dirty()
+            self._hb_handle[tracker_id] = self.sim.schedule_after(
+                self.config.heartbeat_interval, self._heartbeat_tick, tracker
+            )
+        self.scheduler.note_state_change()
         self.schedule_round()
 
     def _on_wjob_completed(self, jip: JobInProgress, now: float) -> None:

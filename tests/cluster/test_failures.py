@@ -102,6 +102,29 @@ class TestKillTracker:
         lost = jt.kill_tracker(0)
         assert wip.scheduled_tasks == rho_before - len(lost)
 
+    def test_kill_and_revive_within_one_interval_keep_one_tick_chain(self):
+        # The dead chain's pending tick must not survive the revive: if it
+        # fired on the living tracker it would re-arm beside the revive's
+        # own chain and the tracker would tick twice per interval.
+        sim = Simulator()
+        config = ClusterConfig(num_nodes=3, heartbeat_interval=3.0, eager_heartbeats=False)
+        jt = JobTracker(sim, config, FifoScheduler())
+        ticks = []
+        tick = jt._heartbeat_tick
+
+        def spy(tracker):
+            if tracker.tracker_id == 0:
+                ticks.append(sim.now)
+            tick(tracker)
+
+        jt._heartbeat_tick = spy
+        jt.start_heartbeats()  # tracker 0's first tick is due at t=1.0
+        sim.run(until=0.5)
+        jt.kill_tracker(0)
+        jt.revive_tracker(0)
+        sim.run(until=12.0)
+        assert ticks == [3.5, 6.5, 9.5]
+
 
 class TestWohaUnderFailure:
     def test_submit_task_loss_rearms_submission(self):

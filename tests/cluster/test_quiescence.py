@@ -1,9 +1,15 @@
 """Unit tests for the quiescent-heartbeat park/wake protocol (DESIGN.md §10)."""
 
+import math
+
 from repro.cluster.config import ClusterConfig
 from repro.cluster.jobtracker import JobTracker
+from repro.cluster.simulation import ClusterSimulation
 from repro.cluster.tasks import TaskKind
+from repro.core.client import make_planner
+from repro.core.scheduler import WohaScheduler
 from repro.events import Simulator
+from repro.experiments.scenarios import SCENARIOS
 from repro.schedulers.fifo import FifoScheduler
 from repro.workflow.builder import WorkflowBuilder
 
@@ -83,17 +89,49 @@ class TestParking:
         assert sim.pending_events == 3
         assert not jt._parked
 
-    def test_submission_wakes_parked_on_original_grid(self):
+    def test_submission_round_that_proves_idle_leaves_trackers_parked(self):
         sim, jt = make_jt()
         jt.start_heartbeats()
         sim.run(until=10.0)
         assert sorted(jt._parked) == [0, 1, 2]
         jt.submit_workflow(diamond())
+        # The eager round launched the one runnable submit task and proved
+        # both kinds idle: a tick now would find nothing, so none is armed.
+        assert sorted(jt._parked) == [0, 1, 2]
+        assert heartbeat_tick_times(sim, jt) == []
+
+    def test_plan_install_wakes_parked_on_original_grid(self):
+        sim, jt = make_jt()
+        jt.start_heartbeats()
+        sim.run(until=10.0)
+        assert sorted(jt._parked) == [0, 1, 2]
+        jt.notify_plan_installed()
         assert not jt._parked
         # Offsets were 1, 2, 3 (interval 3 over 3 trackers): the woken
         # timers land on the next grid points after t=10, not at 10+3.
-        ticks = heartbeat_tick_times(sim, jt)
-        assert ticks == [11.0, 12.0, 13.0]
+        assert heartbeat_tick_times(sim, jt) == [11.0, 12.0, 13.0]
+
+    def test_idle_periodic_cluster_ticks_once_per_tracker(self, monkeypatch):
+        # Each tracker's first staggered tick parks its timer; every later
+        # round ends saturated or proven idle, so no wake re-arms one.
+        ticks = []
+        tick = JobTracker._heartbeat_tick
+
+        def counting_tick(self, tracker):
+            ticks.append(tracker.tracker_id)
+            tick(self, tracker)
+
+        monkeypatch.setattr(JobTracker, "_heartbeat_tick", counting_tick)
+        config = ClusterConfig(
+            num_nodes=500, map_slots_per_node=2, reduce_slots_per_node=1, heartbeat_interval=3.0
+        )
+        simulation = ClusterSimulation(
+            config, WohaScheduler(), submission="woha", planner=make_planner("lpf")
+        )
+        simulation.add_workflows(SCENARIOS["periodic"](0, 1.0)[0])
+        result = simulation.run()
+        assert all(math.isfinite(s.completion_time) for s in result.stats.values())
+        assert len(ticks) <= config.num_nodes
 
     def test_all_trackers_repark_after_drain(self):
         sim, jt = make_jt()
