@@ -24,8 +24,8 @@ Commands:
   (:mod:`repro.serve`): submit workflows, fetch wire-format plans, check
   deadline admission, stream the decision trace.
 * ``serve-bench`` — closed-loop load generator against an in-process
-  service (:mod:`repro.serve.loadgen`): p50/p99/p999 plan latency and
-  throughput across request mixes × batching on/off × concurrency.
+  service (:mod:`repro.serve.loadgen`): p50/p99 plan latency and
+  throughput across request mixes × concurrency.
 * ``lint`` — run the determinism lint (:mod:`repro.analysis`) over source
   trees; exits 1 on violations or a stale baseline, 2 on usage errors.
   ``--interproc`` adds the whole-program taint/budget pass (DT201-DT204);
@@ -159,8 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--pool", choices=("pooled", "split"), default="pooled")
     serve.add_argument("--cache-capacity", type=int, default=1024,
                        help="shared plan-cache entries (LRU beyond this)")
-    serve.add_argument("--no-batching", action="store_true",
-                       help="disable micro-batch fusion; misses build individually")
 
     serve_bench = sub.add_parser(
         "serve-bench",
@@ -242,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="heartbeat interval in seconds; 0 = event-driven")
     profile.add_argument("--reference", action="store_true",
                          help="profile the per-call assignment path "
-                              "(batched assignment off; serve: micro-batching off)")
+                              "(batched assignment off; not for --scenario serve)")
     profile.add_argument("--top", type=int, default=15,
                          help="how many functions to print (default 15)")
     profile.add_argument("--sort", choices=("cumulative", "tottime"), default="cumulative")
@@ -466,6 +464,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if args.top <= 0:
         print(f"--top must be positive, got {args.top}", file=sys.stderr)
         return 2
+    if args.reference and args.scenario == "serve":
+        print("--reference: the serve scenario plans one way and has no reference profile",
+              file=sys.stderr)
+        return 2
     report = profile_scenario(
         args.scenario,
         scheduler=args.scheduler,
@@ -487,17 +489,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve import PlanServer, PlanningService, ServiceConfig
 
-    if args.slots < 1:
-        print(f"--slots must be >= 1, got {args.slots}", file=sys.stderr)
+    try:
+        config = ServiceConfig(
+            total_slots=args.slots,
+            prioritizer=args.prioritizer,
+            cap_search=not args.no_cap_search,
+            pool=args.pool,
+            cache_capacity=args.cache_capacity,
+        )
+    except ValueError as exc:
+        print(f"serve: {exc}", file=sys.stderr)
         return 2
-    config = ServiceConfig(
-        total_slots=args.slots,
-        prioritizer=args.prioritizer,
-        cap_search=not args.no_cap_search,
-        pool=args.pool,
-        cache_capacity=args.cache_capacity,
-        batching=not args.no_batching,
-    )
     service = PlanningService(config)
     server = PlanServer(service, host=args.host, port=args.port)
 
@@ -511,10 +513,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         for signum in (signal.SIGINT, signal.SIGTERM):
             loop.add_signal_handler(signum, stopping.set)
         await server.start()
-        batching = "off" if args.no_batching else "on"
         print(
             f"serving on http://{server.host}:{server.port} "
-            f"({args.slots} slots, {args.prioritizer}/{args.pool}, batching {batching})",
+            f"({args.slots} slots, {args.prioritizer}/{args.pool})",
             flush=True,
         )
         await stopping.wait()
@@ -529,7 +530,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.serve.loadgen import MIXES, run_serve_bench
+    from repro.serve.loadgen import MIXES, cells_table, run_serve_bench
 
     if args.requests < 1:
         print(f"--requests must be >= 1, got {args.requests}", file=sys.stderr)
@@ -547,32 +548,10 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         total_slots=args.slots,
         mixes=tuple(args.mix) if args.mix else MIXES,
     )
-    rows = [
-        [
-            cell["mix"],
-            "on" if cell["batching"] else "off",
-            cell["concurrency"],
-            cell["plans_per_sec"],
-            cell["latency_ms"]["p50"],
-            cell["latency_ms"]["p99"],
-            cell["latency_ms"]["p999"],
-            f"{cell['hit_rate']:.2f}",
-        ]
-        for cell in payload["cells"]
-    ]
-    print(format_table(
-        ["mix", "batch", "conc", "plans/s", "p50 ms", "p99 ms", "p999 ms", "hits"],
-        rows,
-        title=f"serve bench ({args.slots} slots, {args.requests} req/client)",
-        float_fmt="{:.2f}",
+    print(cells_table(
+        payload["cells"], title=f"serve bench ({args.slots} slots, {args.requests} req/client)"
     ))
-    summary = payload["summary"]
-    cold = summary["cold_p99_ms"]
-    print(
-        f"\nsummary @ concurrency {summary['top_concurrency']}: "
-        f"recurrent hit-rate {summary['recurrent_hit_rate']} | "
-        f"cold p99 batching-on {cold['batching_on']}ms vs off {cold['batching_off']}ms"
-    )
+    print(f"\nrecurrent hit-rate {payload['summary']['recurrent_hit_rate']}")
     if args.json_out:
         with open(args.json_out, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)

@@ -28,7 +28,26 @@ from repro.hdfs import HdfsNamespace
 from repro.workflow.model import Workflow, WorkflowValidationError
 from repro.workflow.xmlconfig import parse_workflow_xml
 
-__all__ = ["ValidationError", "ValidationReport", "WohaClient", "make_planner"]
+__all__ = [
+    "ValidationError",
+    "ValidationReport",
+    "WohaClient",
+    "make_planner",
+    "plan_cache_mode",
+]
+
+
+def plan_cache_mode(
+    pool: str = "pooled", cap_search: bool = True, map_fraction: float = 2.0 / 3.0
+) -> Tuple[str, bool, float]:
+    """The planner-configuration part of a :class:`PlanCache` key.
+
+    The one owner of the ``mode`` tuple: :class:`WohaClient`,
+    :func:`make_planner` and the serve tier's batcher all key through it,
+    so entries built for the same configuration collide wherever they
+    were built.
+    """
+    return (pool, cap_search, map_fraction)
 
 
 def _plan_entry(
@@ -203,7 +222,7 @@ class WohaClient:
                 workflow,
                 job_order,
                 total_slots,
-                mode=("pooled", self.cap_search),
+                mode=plan_cache_mode(cap_search=self.cap_search),
                 build=lambda: _plan_entry(workflow, job_order, total_slots, self.cap_search),
             )
             return plan
@@ -270,6 +289,7 @@ def make_planner(
     chosen = _resolve_prioritizer(prioritizer)
     if pool not in ("pooled", "split"):
         raise ValueError(f"unknown pool mode {pool!r}; pick 'pooled' or 'split'")
+    mode = plan_cache_mode(pool, cap_search, map_fraction)
 
     def planner(workflow: Workflow, total_slots: int) -> ProgressPlan:
         job_order = chosen(workflow)
@@ -278,7 +298,7 @@ def make_planner(
                 workflow,
                 job_order,
                 total_slots,
-                mode=(pool, cap_search, map_fraction),
+                mode=mode,
                 build=lambda: _plan_entry(
                     workflow, job_order, total_slots, cap_search, pool, map_fraction
                 ),

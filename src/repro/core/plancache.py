@@ -25,8 +25,6 @@ scheduler counters; attaching a tracer mirrors each event into its
 
 from __future__ import annotations
 
-import asyncio
-import inspect
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
@@ -62,14 +60,9 @@ class PlanCache:
         self.capacity = capacity
         self.tracer = tracer
         self._entries: "OrderedDict[_Key, PlanCacheEntry]" = OrderedDict()
-        # Per-key in-flight guard for the async path: key -> future the
-        # current builder resolves (with None, never an exception) once its
-        # build attempt is over, successful or not.
-        self._inflight: Dict[_Key, "asyncio.Future[None]"] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.coalesced = 0
 
     # -- keying -------------------------------------------------------------
 
@@ -177,68 +170,6 @@ class PlanCache:
             if tracer.enabled:
                 tracer.incr(scope, "evictions")
 
-    async def get_or_build_async(
-        self,
-        workflow: Workflow,
-        job_order: Sequence[str],
-        total_slots: int,
-        mode: Iterable[Any],
-        build: Callable[[], Any],
-    ) -> Tuple[PlanCacheEntry, str]:
-        """Async :meth:`get_or_build` safe under interleaved task access.
-
-        :meth:`get_or_build` is a read-then-write sequence; two asyncio
-        tasks missing on the same key with an awaiting ``build`` would both
-        run the planner and the second would clobber the first.  This
-        variant keeps a per-key in-flight guard: the first misser becomes
-        the *builder*, later missers await its future and are served the
-        committed entry without building (outcome ``"coalesced"``).  If the
-        build raises, the guard is released, the exception propagates to
-        the builder only, and exactly one waiter takes over as the next
-        builder — the cache itself is untouched (the DT303 discipline of
-        the sync path).
-
-        ``build`` may return the entry directly or an awaitable of it.
-
-        Returns:
-            ``(entry, outcome)`` with outcome ``"hit"``, ``"miss"`` (this
-            call built the entry) or ``"coalesced"`` (another task's build
-            was awaited).
-        """
-        key = self.fingerprint(workflow, job_order, total_slots, mode)
-        waited = False
-        while True:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                if waited:
-                    self.coalesced += 1
-                    self.tracer.incr(self.COUNTER_SCOPE, "coalesced")
-                    return entry, "coalesced"
-                self.hits += 1
-                self.tracer.incr(self.COUNTER_SCOPE, "hits")
-                return entry, "hit"
-            pending = self._inflight.get(key)
-            if pending is None:
-                break
-            waited = True
-            await pending
-        guard: "asyncio.Future[None]" = asyncio.get_running_loop().create_future()
-        self._inflight[key] = guard
-        try:
-            entry = build()  # repro: calls[repro.core.client._plan_entry]
-            if inspect.isawaitable(entry):
-                entry = await entry
-        finally:
-            # Release the guard before committing: the commit below runs
-            # without awaiting, so waiters (which resume on a later loop
-            # cycle) always observe the finished entry — or, when the
-            # build raised, an empty slot one of them will rebuild.
-            del self._inflight[key]
-            guard.set_result(None)
-        self._commit(key, entry)
-        return entry, "miss"
-
     # -- introspection ------------------------------------------------------
 
     def __len__(self) -> int:
@@ -256,7 +187,6 @@ class PlanCache:
         directly."""
         return {
             self.COUNTER_SCOPE: {
-                "coalesced": self.coalesced,
                 "evictions": self.evictions,
                 "hits": self.hits,
                 "misses": self.misses,
@@ -264,10 +194,8 @@ class PlanCache:
         }
 
     def clear(self) -> None:
-        """Drop all entries and reset the stats (in-flight guards remain:
-        a builder mid-flight commits into the freshly cleared table)."""
+        """Drop all entries and reset the stats."""
         self._entries.clear()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.coalesced = 0

@@ -3,10 +3,12 @@
 Runs one deterministic scenario from :mod:`repro.experiments.scenarios`
 under :mod:`cProfile` and renders the top-N functions by cumulative or
 internal time, together with the run's per-event cost (µs/event).  This is
-the workflow that produced the ISSUE 7 micro-kernel: the per-event fast
+the workflow that produced the per-event micro-kernel: the per-event fast
 path is only as good as the *unit* cost of the events that survive
 parking/batching, and cProfile is how those unit costs get attributed to
 ``select_task`` / skip-list walks / heartbeat dispatch rather than guessed.
+The ``serve`` scenario profiles the planning service's request path
+instead of a cluster run.
 
 The workload is a pure function of ``(scenario, seed, scale)`` — the same
 contract the sharded runner relies on — so two profiles of the same cell
@@ -108,19 +110,15 @@ def _hot_rows(
     ]
 
 
-def _profile_serve(
-    seed: int, scale: float, nodes: int, fast: bool, top: int, sort: str
-) -> ProfileReport:
+def _profile_serve(seed: int, scale: float, nodes: int, top: int, sort: str) -> ProfileReport:
     """The ``serve`` scenario: profile the batching planner, not a cluster.
 
     Drives a deterministic request stream straight into
     :meth:`~repro.serve.service.PlanningService.plan` — ``nodes`` synthetic
     tenants per round, alternating recurrent template requests with
     cold (deadline-jittered) ones, ``max(2, round(20 * scale))`` rounds —
-    so cProfile attributes cost to the flush/fusion path itself.  ``fast``
-    toggles micro-batching: the reference profile builds every miss
-    individually through the in-flight guard.  An *event* is one served
-    plan request.
+    so cProfile attributes cost to the flush/fusion path itself.  An
+    *event* is one served plan request.
     """
     from repro.serve.loadgen import jittered
     from repro.serve.service import PlanningService, ServiceConfig
@@ -130,7 +128,7 @@ def _profile_serve(
     ]
     tenants = max(2, nodes)
     rounds = max(2, round(20 * scale))
-    service = PlanningService(ServiceConfig(total_slots=200, batching=fast))
+    service = PlanningService(ServiceConfig(total_slots=200))
 
     schedule = []
     for r in range(rounds):
@@ -164,7 +162,7 @@ def _profile_serve(
         seed=seed,
         scale=scale,
         nodes=tenants,
-        fast=fast,
+        fast=True,
         wall_s=round(wall, 4),
         events=events,
         us_per_event=round(1e6 * wall / events, 3) if events else 0.0,
@@ -192,7 +190,7 @@ def profile_scenario(
     the same decision stream; heartbeat parking runs in both.  The
     ``serve`` scenario is special-cased: it profiles the planning
     *service* request path (:func:`_profile_serve`) instead of a cluster
-    run, with ``fast`` toggling micro-batching.
+    run, and has no reference variant (``fast=False`` raises).
     """
     if sort not in ("cumulative", "tottime"):
         raise ValueError(f"sort must be 'cumulative' or 'tottime', got {sort!r}")
@@ -205,7 +203,9 @@ def profile_scenario(
             f"unknown scenario {scenario!r}; pick from {sorted(SCENARIOS)}"
         ) from None
     if scenario == "serve":
-        return _profile_serve(seed, scale, nodes, fast, top, sort)
+        if not fast:
+            raise ValueError("the serve scenario plans one way and has no reference profile")
+        return _profile_serve(seed, scale, nodes, top, sort)
     workflows, outages = make_scenario(seed, scale)
     scheduler_obj, mode, planner = _make_stack(scheduler)
     config = ClusterConfig(

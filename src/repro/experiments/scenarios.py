@@ -107,8 +107,8 @@ def serve_scenario(seed: int, scale: float = 1.0) -> ScenarioPayload:
     The other scenarios size their workflows for scheduling runs; here the
     expensive part is the client-side pipeline itself (cap search ×
     Algorithm 1), so each template is a wide fan-out/fan-in DAG with large
-    task counts — milliseconds of planning, not microseconds — which is
-    what makes the serve bench's batching-vs-not comparison meaningful.
+    task counts — milliseconds of planning, not microseconds — so the
+    serve bench's cold mix measures the batcher's shared-setup fusion.
     ``scale`` stretches the template *count*; the per-template size is
     fixed so costs stay comparable across scales.
     """

@@ -266,7 +266,7 @@ class MetricsCollector:
 
         With ``workflow`` set, only that workflow's tasks are counted —
         one line of a Fig 14-19 panel.  Events at the same instant are
-        coalesced into a single step.
+        merged into a single step.
         """
         use_map = kind.uses_map_slot
         samples: List[SlotSample] = []

@@ -16,7 +16,7 @@ Routes:
     :class:`~repro.core.progress.ProgressPlan` wire bytes
     (``application/octet-stream``, feasibility bit included) with headers
     ``X-Plan-Cap``, ``X-Plan-Feasible``, ``X-Plan-Makespan``,
-    ``X-Plan-Outcome`` (hit/miss/fused/coalesced) and ``X-Request-Id``.
+    ``X-Plan-Outcome`` (hit/miss/fused) and ``X-Request-Id``.
     The tenant is taken from the ``X-Tenant`` header (default
     ``"default"``).
 ``POST /v1/admit``

@@ -21,7 +21,10 @@ one probe memo, and each search skips every cap the other already simulated.
    the loop.
 3. The flush runs **synchronously** — no awaits between its cache reads and
    writes — so it is atomic with respect to the event loop: the cache is a
-   single-writer structure and needs no locks (DESIGN.md §15.3).
+   single-writer structure and needs no locks (DESIGN.md §15.3).  It is
+   also the only way a miss gets built, so no in-flight guard is needed
+   either: an identical request parks before the flush (and fuses) or
+   looks up after its commit (and hits).
 4. Within a flush, requests with identical fingerprints collapse to one
    build (outcome ``"fused"``); distinct fingerprints sharing a fusion key
    (structure, job order, planner mode — everything *except* deadline and
@@ -41,7 +44,7 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Dict, List, Tuple, Union
 
-from repro.core.client import _plan_entry
+from repro.core.client import _plan_entry, plan_cache_mode
 from repro.core.plancache import PlanCache, PlanCacheEntry
 from repro.core.plangen import _SimProblem
 from repro.trace import NULL_TRACER
@@ -80,36 +83,25 @@ class _PendingRequest:
 class BatchingPlanner:
     """Fuses concurrent plan requests into shared-setup batches.
 
+    The serve tier's one planning path: hits are answered from the cache,
+    every miss is built by a :meth:`flush_now` batch.
+
     Args:
         cache: the shared :class:`~repro.core.plancache.PlanCache`; hits are
             served from it synchronously, batch builds commit into it.
-        enabled: ``False`` degrades to per-request building through
-            :meth:`PlanCache.get_or_build_async` (the bench baseline).
         tracer: mirrors batch counters into the ``serve_batch`` scope.
     """
 
     COUNTER_SCOPE = "serve_batch"
 
-    def __init__(
-        self,
-        cache: PlanCache,
-        enabled: bool = True,
-        tracer=NULL_TRACER,
-    ) -> None:
+    def __init__(self, cache: PlanCache, tracer=NULL_TRACER) -> None:
         self.cache = cache
-        self.enabled = enabled
         self.tracer = tracer
         self._pending: List[_PendingRequest] = []
         self.batches = 0
         self.batched_requests = 0
         self.fused = 0
         self.shared_setups = 0
-
-    @staticmethod
-    def planner_mode(pool: str, cap_search: bool, map_fraction: float) -> Tuple[Any, ...]:
-        """The cache ``mode`` tuple — same shape :func:`make_planner` uses,
-        so service-built entries and standalone-planner entries collide."""
-        return (pool, cap_search, map_fraction)
 
     async def plan(
         self,
@@ -123,18 +115,10 @@ class BatchingPlanner:
         """Resolve one plan request; returns ``(entry, outcome)``.
 
         Outcomes: ``"hit"`` (served from cache, never parked), ``"miss"``
-        (this request's batch built it), ``"fused"`` (an identical request
-        in the same batch built it), ``"coalesced"`` (batching disabled:
-        another task's in-flight build was awaited).
+        (this request's batch built it) or ``"fused"`` (an identical
+        request in the same batch built it).
         """
-        mode = self.planner_mode(pool, cap_search, map_fraction)
-        if not self.enabled:
-            return await self.cache.get_or_build_async(
-                workflow, job_order, total_slots, mode,
-                build=lambda: _plan_entry(
-                    workflow, job_order, total_slots, cap_search, pool, map_fraction
-                ),
-            )
+        mode = plan_cache_mode(pool, cap_search, map_fraction)
         entry = self.cache.lookup(workflow, job_order, total_slots, mode)
         if entry is not None:
             return entry, "hit"

@@ -6,7 +6,8 @@ bench cell a **fresh** :class:`~repro.serve.service.PlanningService` +
 inside the same event loop, ``concurrency`` closed-loop clients each hold
 one keep-alive connection and fire ``requests_per_client`` ``POST
 /v1/plan`` requests back-to-back, and the per-request wall latency feeds
-p50/p99/p999.  Request bodies are pre-serialized before the clock starts,
+p50/p99.  A cell holds tens to hundreds of samples, too few for a
+meaningful p999.  Request bodies are pre-serialized before the clock starts,
 so the measured path is socket → parse → plan → respond.
 
 Two request mixes, matching the multi-tenant patterns DESIGN.md §15
@@ -16,15 +17,13 @@ optimises for:
     Every client cycles through the same few workflow templates
     unchanged — the periodic-production steady state.  After the first
     builds, everything is a cache hit; the acceptance bar is a ≥90%
-    hit-rate, and batching must not slow this mix down (hits bypass the
-    batcher entirely).
+    hit-rate (hits bypass the batcher entirely).
 ``cold``
     The same templates but every request carries a distinct relative
     deadline (deterministic jitter on the request ordinal), so every
     fingerprint misses.  This is where shared-setup fusion earns its
     keep: concurrent misses on one structure share a ``_SimProblem`` and
-    a probe memo, and batching-on p99 must beat batching-off at the
-    highest concurrency.
+    a probe memo.
 
 Workload templates come from the sweep scenario registry
 (:data:`repro.experiments.scenarios.SCENARIOS`), so the bench plans the
@@ -37,9 +36,10 @@ import asyncio
 import math
 import time
 from collections import Counter
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.experiments.scenarios import SCENARIOS
+from repro.metrics.report import format_table
 from repro.serve.api import PlanServer
 from repro.serve.service import PlanningService, ServiceConfig
 from repro.workflow.model import Workflow
@@ -49,6 +49,7 @@ __all__ = [
     "bench_templates",
     "build_request",
     "cell_workflows",
+    "cells_table",
     "jittered",
     "percentile",
     "run_cell",
@@ -62,10 +63,10 @@ MIXES = ("recurrent", "cold")
 
 #: Keys every bench cell carries (pinned by the tier-1 guard test).
 CELL_KEYS = (
-    "mix", "batching", "concurrency", "requests", "seconds",
+    "mix", "concurrency", "requests", "seconds",
     "plans_per_sec", "latency_ms", "outcomes", "hit_rate",
 )
-LATENCY_KEYS = ("p50", "p99", "p999")
+LATENCY_KEYS = ("p50", "p99")
 
 
 def bench_templates(scenario: str = "serve", seed: int = 7, scale: float = 0.5) -> List[Workflow]:
@@ -183,13 +184,12 @@ def cell_workflows(
 
 async def _run_cell_async(
     mix: str,
-    batching: bool,
     concurrency: int,
     requests_per_client: int,
     templates: Sequence[Workflow],
     total_slots: int,
 ) -> Dict[str, Any]:
-    config = ServiceConfig(total_slots=total_slots, batching=batching, trace_capacity=64)
+    config = ServiceConfig(total_slots=total_slots, trace_capacity=64)
     service = PlanningService(config)
     server = PlanServer(service, host="127.0.0.1", port=0)
     await server.start()
@@ -213,7 +213,6 @@ async def _run_cell_async(
     total = concurrency * requests_per_client
     return {
         "mix": mix,
-        "batching": batching,
         "concurrency": concurrency,
         "requests": total,
         "seconds": round(seconds, 4),
@@ -221,7 +220,6 @@ async def _run_cell_async(
         "latency_ms": {
             "p50": round(percentile(latencies_ms, 0.50), 3),
             "p99": round(percentile(latencies_ms, 0.99), 3),
-            "p999": round(percentile(latencies_ms, 0.999), 3),
         },
         "outcomes": {name: outcomes[name] for name in sorted(outcomes)},
         "hit_rate": round(outcomes["hit"] / total, 4) if total else 0.0,
@@ -230,7 +228,6 @@ async def _run_cell_async(
 
 def run_cell(
     mix: str,
-    batching: bool,
     concurrency: int,
     requests_per_client: int,
     templates: Sequence[Workflow],
@@ -238,7 +235,7 @@ def run_cell(
 ) -> Dict[str, Any]:
     """One bench cell (fresh service + server; own event loop)."""
     return asyncio.run(
-        _run_cell_async(mix, batching, concurrency, requests_per_client, templates, total_slots)
+        _run_cell_async(mix, concurrency, requests_per_client, templates, total_slots)
     )
 
 
@@ -251,35 +248,22 @@ def run_serve_bench(
     total_slots: int = 200,
     mixes: Sequence[str] = MIXES,
 ) -> Dict[str, Any]:
-    """The full grid: mix × batching × concurrency; returns the payload.
+    """The full grid: mix × concurrency; returns the payload.
 
-    The ``summary`` block restates the two acceptance bars — the
-    recurrent-mix hit rate and the cold-mix p99 comparison at the highest
-    concurrency — so trajectory diffs need not scan the cell list.
+    The ``summary`` block restates the acceptance bar — the lowest
+    recurrent-mix hit rate — so trajectory diffs need not scan the cell
+    list.
     """
     templates = bench_templates(scenario, seed, scale)
-    cells: List[Dict[str, Any]] = []
-    for mix in mixes:
-        for batching in (True, False):
-            for concurrency in concurrency_levels:
-                cells.append(
-                    run_cell(
-                        mix, batching, concurrency, requests_per_client, templates, total_slots
-                    )
-                )
-    top = max(concurrency_levels)
-
-    def _p99(mix: str, batching: bool) -> Optional[float]:
-        for cell in cells:
-            if (cell["mix"], cell["batching"], cell["concurrency"]) == (mix, batching, top):
-                return cell["latency_ms"]["p99"]
-        return None
-
-    recurrent_hits = [c["hit_rate"] for c in cells if c["mix"] == "recurrent" and c["batching"]]
+    cells = [
+        run_cell(mix, concurrency, requests_per_client, templates, total_slots)
+        for mix in mixes
+        for concurrency in concurrency_levels
+    ]
+    recurrent_hits = [c["hit_rate"] for c in cells if c["mix"] == "recurrent"]
     summary: Dict[str, Any] = {
-        "top_concurrency": top,
+        "top_concurrency": max(concurrency_levels),
         "recurrent_hit_rate": min(recurrent_hits) if recurrent_hits else None,
-        "cold_p99_ms": {"batching_on": _p99("cold", True), "batching_off": _p99("cold", False)},
     }
     return {
         "bench": "serve",
@@ -295,3 +279,24 @@ def run_serve_bench(
         "cells": cells,
         "summary": summary,
     }
+
+
+def cells_table(cells: Sequence[Dict[str, Any]], title: str) -> str:
+    """The bench cells as the aligned table ``repro serve-bench`` prints."""
+    rows = [
+        [
+            cell["mix"],
+            cell["concurrency"],
+            cell["plans_per_sec"],
+            cell["latency_ms"]["p50"],
+            cell["latency_ms"]["p99"],
+            f"{cell['hit_rate']:.2f}",
+        ]
+        for cell in cells
+    ]
+    return format_table(
+        ["mix", "conc", "plans/s", "p50 ms", "p99 ms", "hits"],
+        rows,
+        title=title,
+        float_fmt="{:.2f}",
+    )

@@ -48,12 +48,15 @@ class ServiceConfig:
     pool: str = "pooled"
     map_fraction: float = 2.0 / 3.0
     cache_capacity: int = 1024
-    batching: bool = True
     trace_capacity: Optional[int] = 4096
 
     def __post_init__(self) -> None:
         if self.total_slots < 1:
-            raise ValueError("total_slots must be >= 1")
+            raise ValueError(f"total_slots must be >= 1, got {self.total_slots}")
+        if self.cache_capacity < 1:
+            raise ValueError(f"cache_capacity must be >= 1, got {self.cache_capacity}")
+        if not 0.0 < self.map_fraction < 1.0:  # also rejects NaN
+            raise ValueError(f"map_fraction must be in (0, 1), got {self.map_fraction}")
         if self.pool not in ("pooled", "split"):
             raise ValueError(f"unknown pool mode {self.pool!r}; pick 'pooled' or 'split'")
         if self.prioritizer not in PRIORITIZERS:
@@ -68,7 +71,7 @@ class PlanOutcome:
 
     plan: ProgressPlan
     search: Optional[Any]
-    outcome: str  # "hit" | "miss" | "fused" | "coalesced"
+    outcome: str  # "hit" | "miss" | "fused"
     request_id: int
 
     @property
@@ -84,9 +87,7 @@ class PlanningService:
         self.config = config or ServiceConfig()
         self.tracer = DecisionTracer(capacity=self.config.trace_capacity)
         self.cache = PlanCache(capacity=self.config.cache_capacity, tracer=self.tracer)
-        self.batcher = BatchingPlanner(
-            self.cache, enabled=self.config.batching, tracer=self.tracer
-        )
+        self.batcher = BatchingPlanner(self.cache, tracer=self.tracer)
         self._prioritizer = _resolve_prioritizer(self.config.prioritizer)
         self.requests = 0
 
@@ -208,7 +209,6 @@ class PlanningService:
                 "prioritizer": self.config.prioritizer,
                 "cap_search": self.config.cap_search,
                 "pool": self.config.pool,
-                "batching": self.config.batching,
             },
             "plan_cache": {
                 "size": len(self.cache),

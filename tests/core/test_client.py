@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.config import ClusterConfig
 from repro.cluster.jobtracker import JobTracker
 from repro.core.client import WohaClient, make_planner
+from repro.core.plancache import PlanCache
 from repro.core.scheduler import WohaScheduler
 from repro.events import Simulator
 from repro.hdfs import HdfsNamespace
@@ -140,3 +141,22 @@ class TestMakePlanner:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             make_planner("nope")
+
+    def test_unknown_pool_rejected(self):
+        with pytest.raises(ValueError, match="unknown pool mode"):
+            make_planner(pool="sharded")
+
+    def test_configurations_key_apart_on_a_shared_cache(self):
+        # The mode tuple separates planner configurations: one shared
+        # cache builds once per configuration and then hits for each.
+        cache = PlanCache()
+        planners = [
+            make_planner(plan_cache=cache),
+            make_planner(pool="split", plan_cache=cache),
+            make_planner(cap_search=False, plan_cache=cache),
+        ]
+        first = [planner(wf_with_paths(), 12) for planner in planners]
+        assert (cache.misses, cache.hits) == (3, 0)
+        again = [planner(wf_with_paths(), 12) for planner in planners]
+        assert (cache.misses, cache.hits) == (3, 3)
+        assert all(a is b for a, b in zip(first, again))

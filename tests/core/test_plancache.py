@@ -49,7 +49,7 @@ class TestAccounting:
         planner(diamond(), 24)
         collector = MetricsCollector(ClusterConfig(num_nodes=1))
         table = collector.aggregate_counters(cache)
-        assert table["plan_cache"] == {"coalesced": 0, "evictions": 0, "hits": 1, "misses": 1}
+        assert table["plan_cache"] == {"evictions": 0, "hits": 1, "misses": 1}
 
     def test_tracer_mirrors_events(self):
         tracer = DecisionTracer()

@@ -4,8 +4,12 @@ import asyncio
 
 import pytest
 
+from repro.cluster.jobtracker import JobTracker
+from repro.core.client import WohaClient, make_planner, plan_cache_mode
 from repro.core.plancache import PlanCache
 from repro.core.priorities import PRIORITIZERS
+from repro.core.scheduler import WohaScheduler
+from repro.events import Simulator
 from repro.metrics.collector import MetricsCollector
 from repro.cluster.config import ClusterConfig
 from repro.serve.batching import BatchingPlanner
@@ -112,8 +116,7 @@ class TestNextTurnFlush:
         entry, outcome = asyncio.run(go())
         assert outcome == "miss"  # the surviving waiter led its group
         assert cache.misses == 1 and len(cache) == 1
-        mode = BatchingPlanner.planner_mode("pooled", True, 2 / 3)
-        assert cache.lookup(w, order_of(w), 24, mode) is entry
+        assert cache.lookup(w, order_of(w), 24, plan_cache_mode()) is entry
         assert planner.batched_requests == 1 and planner.fused == 0
         assert loop_errors == []
 
@@ -153,19 +156,25 @@ class TestOutcomes:
         assert planner.shared_setups == 0
         assert cache.misses == 2
 
-    def test_disabled_batching_builds_synchronously_per_request(self):
-        # A synchronous build never yields, so the first task commits before
-        # the others even start: miss + hits, no batches.  (The
-        # coalesced outcome needs an awaitable build; see
-        # tests/core/test_plancache_async.py.)
+    def test_identical_miss_one_turn_later_hits_without_a_second_build(self):
+        # The flush is synchronous and is the only build path, so the
+        # first miss's entry is committed before a request issued one loop
+        # turn later looks it up: no in-flight guard is needed.
         cache = PlanCache()
-        planner = BatchingPlanner(cache, enabled=False)
+        planner = BatchingPlanner(cache)
         w = diamond()
-        results = plan_all(planner, [(w, 24)] * 3)
-        outcomes = sorted(outcome for _e, outcome in results)
-        assert outcomes == ["hit", "hit", "miss"]
-        assert cache.misses == 1
-        assert planner.batches == 0  # the batch path never ran
+
+        async def go():
+            first = asyncio.ensure_future(planner.plan(w, order_of(w), 24))
+            await asyncio.sleep(0)  # the first miss parks and schedules its flush
+            second = asyncio.ensure_future(planner.plan(w, order_of(w), 24))
+            return await asyncio.gather(first, second)
+
+        (first_entry, first), (second_entry, second) = asyncio.run(go())
+        assert [first, second] == ["miss", "hit"]
+        assert second_entry is first_entry
+        assert cache.misses == 1 and cache.hits == 1
+        assert (planner.batches, planner.batched_requests) == (1, 1)
 
 
 class TestErrorPropagation:
@@ -207,6 +216,16 @@ class TestAccounting:
             "shared_setups": 0,
         }
 
-    def test_mode_tuple_matches_make_planner(self):
-        # Service-built entries must collide with standalone-planner entries.
-        assert BatchingPlanner.planner_mode("pooled", True, 2 / 3) == ("pooled", True, 2 / 3)
+    def test_service_entries_collide_with_client_and_planner_entries(self):
+        # One cache key owner: a batcher-built entry is a hit for both
+        # WohaClient.generate_plan and make_planner on the same cache.
+        cache = PlanCache()
+        planner = BatchingPlanner(cache)
+        w = diamond()
+        [(entry, outcome)] = plan_all(planner, [(w, 24)])
+        assert outcome == "miss"
+        jobtracker = JobTracker(Simulator(), ClusterConfig(num_nodes=1), WohaScheduler())
+        client = WohaClient(jobtracker, plan_cache=cache)
+        assert client.generate_plan(w, total_slots=24) is entry[1]
+        assert make_planner(plan_cache=cache)(w, 24) is entry[1]
+        assert (cache.misses, cache.hits) == (1, 2)

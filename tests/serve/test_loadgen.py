@@ -2,9 +2,9 @@
 
 import inspect
 
+from repro.core.client import plan_cache_mode
 from repro.core.plancache import PlanCache
 from repro.core.priorities import PRIORITIZERS
-from repro.serve.batching import BatchingPlanner
 from repro.serve.loadgen import bench_templates, cell_workflows, run_serve_bench
 
 DEFAULTS = {
@@ -17,7 +17,7 @@ class TestColdMixJitter:
     def test_default_grid_stretches_stay_tiny_and_fingerprints_unique(self):
         templates = bench_templates(DEFAULTS["scenario"], DEFAULTS["seed"], DEFAULTS["scale"])
         per_client = DEFAULTS["requests_per_client"]
-        mode = BatchingPlanner.planner_mode("pooled", True, 2.0 / 3.0)
+        mode = plan_cache_mode()
         for concurrency in DEFAULTS["concurrency_levels"]:
             schedule = cell_workflows("cold", templates, concurrency, per_client)
             assert len(schedule) == concurrency

@@ -37,6 +37,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ServiceConfig(prioritizer="alphabetical")
 
+    def test_zero_cache_capacity_rejected(self):
+        with pytest.raises(ValueError, match="cache_capacity"):
+            ServiceConfig(cache_capacity=0)
+
+    @pytest.mark.parametrize("fraction", [float("nan"), 0.0, 1.0, -0.5, 1.5, float("inf")])
+    def test_bad_map_fraction_rejected(self, fraction):
+        with pytest.raises(ValueError, match="map_fraction"):
+            ServiceConfig(pool="split", map_fraction=fraction)
+
 
 class TestParseWorkflow:
     def test_xml_body(self):
@@ -130,6 +139,24 @@ class TestPlanAndAdmit:
         # A poll past the end returns an empty page and a stable cursor.
         empty, again = service.trace_page(end, 10)
         assert empty == "" and again == end
+
+    def test_every_miss_takes_the_batching_path(self):
+        # Misses have one route (batcher flush -> PlanCache.get_or_build),
+        # so every batched request is either a cache miss or a fused one.
+        service = PlanningService(ServiceConfig(total_slots=24))
+        cold = [diamond(f"w{i}", relative_deadline=400.0 + i) for i in range(4)]
+
+        async def go():
+            await asyncio.gather(*(service.plan(w) for w in cold + cold))
+            await service.plan(cold[0])
+
+        asyncio.run(go())
+        stats = service.stats()
+        batch, cache = stats["batch"], stats["plan_cache"]
+        assert batch["batched_requests"] == cache["misses"] + batch["fused"]
+        assert batch["batched_requests"] == 8 and cache["hits"] == 1
+        assert "coalesced" not in cache
+        assert "batching" not in stats["config"]
 
     def test_stats_are_json_serialisable(self):
         service = PlanningService()

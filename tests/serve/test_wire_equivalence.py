@@ -2,7 +2,7 @@
 
 Plans fetched over HTTP must be byte-identical to what a direct
 ``make_planner`` call produces for the same configuration — across
-prioritizers × pool modes × batching on/off, for feasible and infeasible
+prioritizers × pool modes, for feasible and infeasible
 workflows — and ``/v1/admit`` verdicts must agree with direct planner
 feasibility across the sweep scenario corpus.
 """
@@ -64,11 +64,8 @@ def served_bytes(config, workflows, path="/v1/plan"):
 
 @pytest.mark.parametrize("prioritizer", ["hlf", "lpf", "mpf"])
 @pytest.mark.parametrize("pool", ["pooled", "split"])
-@pytest.mark.parametrize("batching", [True, False])
-def test_plan_bytes_identical_to_direct_planner(prioritizer, pool, batching):
-    config = ServiceConfig(
-        total_slots=SLOTS, prioritizer=prioritizer, pool=pool, batching=batching
-    )
+def test_plan_bytes_identical_to_direct_planner(prioritizer, pool):
+    config = ServiceConfig(total_slots=SLOTS, prioritizer=prioritizer, pool=pool)
     workflows = [diamond("feasible"), diamond("infeasible", relative_deadline=1.0)]
     bodies = served_bytes(config, workflows)
     planner = make_planner(prioritizer=prioritizer, pool=pool)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.experiments.profiling import profile_scenario
 
 WORKFLOW_XML = """
 <workflow name="demo" deadline="1200">
@@ -214,6 +215,27 @@ class TestProfileCommand:
     def test_bad_top_errors(self, capsys):
         assert main(["profile", "--top", "0"]) == 2
         assert "--top must be positive" in capsys.readouterr().err
+
+    def test_serve_scenario_has_no_reference_path(self, capsys):
+        assert main(["profile", "--scenario", "serve", "--reference"]) == 2
+        err = capsys.readouterr().err
+        assert "no reference profile" in err and len(err.strip().splitlines()) == 1
+        with pytest.raises(ValueError, match="no reference profile"):
+            profile_scenario("serve", fast=False)
+
+
+class TestServeCommand:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--slots", "0"], "total_slots must be >= 1"),
+            (["--cache-capacity", "0"], "cache_capacity must be >= 1"),
+        ],
+    )
+    def test_bad_config_exits_2_before_binding(self, capsys, flags, message):
+        assert main(["serve", "--port", "0", *flags]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
 
 class TestCallgraphCommand:
