@@ -8,11 +8,6 @@ run in **under 2 seconds** on the development corpus.  A second row times
 the whole-program pass (``--interproc``: call graph, DT2xx, and the DT3xx
 dataflow summaries and fixpoints) against a **5 second** bar.
 
-A third row times the **incremental** path (``--incremental``, DESIGN.md
-§14): after one cold cache-filling run, a warm run over the unchanged
-tree must replay the cached report in **under 0.5 seconds** and at least
-**3x** faster than its own cold run — the edit-lint-edit loop's bar.
-
 The measurement test is marked ``perf`` and therefore deselected by the
 default ``-m "not perf"`` addopts; run it explicitly with
 ``pytest benchmarks/bench_lint_speed.py -m perf``.  The tier-1 shape guard
@@ -21,7 +16,6 @@ lives in ``tests/integration/test_bench_lint_guard.py``.
 
 from __future__ import annotations
 
-import tempfile
 import time
 from pathlib import Path
 from typing import Dict, Optional, Sequence
@@ -43,12 +37,6 @@ BUDGET_SECONDS = 2.0
 #: The bar for the whole-program pass (call graph + DT2xx + DT3xx
 #: summaries/fixpoints on top of the intra rules), in seconds.
 INTERPROC_BUDGET_SECONDS = 5.0
-
-#: The bar for a warm incremental run over an unchanged tree, in seconds.
-INCREMENTAL_BUDGET_SECONDS = 0.5
-
-#: A warm replay must beat its own cold cache-filling run by this factor.
-MIN_INCREMENTAL_SPEEDUP = 3.0
 
 
 def run_bench(
@@ -73,45 +61,6 @@ def run_bench(
         "best_seconds": round(best, 3),
         "files_per_sec": round(report.files_checked / best, 1),
         "budget_seconds": INTERPROC_BUDGET_SECONDS if interproc else BUDGET_SECONDS,
-    }
-
-
-def run_incremental_bench(
-    paths: Optional[Sequence[Path]] = None,
-    baseline: Optional[Path] = None,
-    repeats: int = 3,
-) -> Dict[str, object]:
-    """One cold cache-filling ``--interproc --incremental`` run, then
-    best-of-``repeats`` warm replays over the unchanged tree."""
-    paths = list(paths) if paths is not None else [PACKAGE_ROOT]
-    baseline = baseline if baseline is not None else BASELINE
-    with tempfile.TemporaryDirectory(prefix="repro-lint-cache-") as tmp:
-        cache_dir = Path(tmp)
-        start = time.perf_counter()
-        lint_paths(
-            paths, baseline_path=baseline, interproc=True,
-            incremental=True, cache_dir=cache_dir,
-        )
-        cold = time.perf_counter() - start
-        best = float("inf")
-        warm = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            warm = lint_paths(
-                paths, baseline_path=baseline, interproc=True,
-                incremental=True, cache_dir=cache_dir,
-            )
-            best = min(best, time.perf_counter() - start)
-    return {
-        "bench": "lint_speed_incremental",
-        "files_checked": warm.files_checked,
-        "violations": len(warm.violations),
-        "cold_seconds": round(cold, 3),
-        "warm_seconds": round(best, 3),
-        "speedup": round(cold / best, 1),
-        "warm_summaries_recomputed": warm.summaries_recomputed,
-        "budget_seconds": INCREMENTAL_BUDGET_SECONDS,
-        "min_speedup": MIN_INCREMENTAL_SPEEDUP,
     }
 
 
@@ -140,29 +89,6 @@ def test_full_tree_lint_under_budget():
     assert interproc["best_seconds"] < INTERPROC_BUDGET_SECONDS
 
 
-@pytest.mark.perf
-def test_incremental_lint_under_budget():
-    payload = run_incremental_bench()
-    table = format_table(
-        ["pass", "files", "cold (s)", "warm (s)", "speedup", "budget (s)"],
-        [[
-            payload["bench"],
-            payload["files_checked"],
-            payload["cold_seconds"],
-            payload["warm_seconds"],
-            payload["speedup"],
-            payload["budget_seconds"],
-        ]],
-        title="Incremental lint, warm replay over unchanged src/repro",
-        float_fmt="{:.3f}",
-    )
-    emit("lint_speed_incremental", table)
-    assert payload["warm_summaries_recomputed"] == 0
-    assert payload["warm_seconds"] < INCREMENTAL_BUDGET_SECONDS
-    assert payload["speedup"] >= MIN_INCREMENTAL_SPEEDUP
-
-
 if __name__ == "__main__":
     print(run_bench())
     print(run_bench(interproc=True))
-    print(run_incremental_bench())

@@ -6,12 +6,14 @@ Three layers of one guarantee:
   that statically rejects determinism hazards (rule ids ``DT101``-``DT107``)
   in the scheduler's decision paths.  CLI: ``repro lint``.
 * :mod:`repro.analysis.callgraph` / :mod:`repro.analysis.interproc` /
-  :mod:`repro.analysis.dataflow` — the whole-program pass
-  (``DT201``-``DT305``): nondeterminism taint along the call graph,
-  dynamic-call holes, §IV complexity budgets, and the flow-sensitive
-  dataflow rules (fork-shared state, pool picklability, exception
-  atomicity, stale suppressions, simulated-time purity; DESIGN.md §13).
-  CLI: ``repro lint --interproc`` and ``repro callgraph``.
+  :mod:`repro.analysis.dataflow` — the whole-program passes
+  (``DT201``-``DT204``, ``DT301``-``DT305``): nondeterminism taint along
+  the call graph, dynamic-call holes, §IV complexity budgets, and the
+  flow-sensitive dataflow rules (fork-shared state, pool picklability,
+  exception atomicity, stale suppressions, simulated-time purity;
+  DESIGN.md §13).  CLI: ``repro lint --interproc`` and ``repro callgraph``.
+  Hot-path constant factors are not linted; the end-to-end benchmark's
+  per-layer metrics guard them (DESIGN.md §14).
 * :mod:`repro.analysis.contracts` — runtime checkers asserting the DSL
   cross-link, skip-list level monotonicity, Algorithm 1 plan monotonicity
   and prerequisite-respecting dispatch, zero-cost when disabled.

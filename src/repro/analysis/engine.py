@@ -63,10 +63,6 @@ class LintReport:
     #: Baseline entries (path, rule, leftover count) that matched nothing.
     stale_baseline: List[Tuple[str, str, int]] = field(default_factory=list)
     files_checked: int = 0
-    #: Incremental runs only: how many module summaries were computed
-    #: fresh (0 = the whole report replayed from cache).  ``None`` for
-    #: non-incremental runs.
-    summaries_recomputed: Optional[int] = None
 
     @property
     def clean(self) -> bool:
@@ -86,13 +82,10 @@ class LintReport:
             lines.extend(f"{v.render()} [baseline]" for v in self.baselined)
         for path, rule, count in self.stale_baseline:
             lines.append(f"{path}: stale baseline entry {rule} x{count} (no longer matches)")
-        summary = (
+        lines.append(
             f"{len(self.violations)} violation(s), {len(self.suppressed)} suppressed, "
             f"{len(self.baselined)} baselined, {self.files_checked} file(s) checked"
         )
-        if self.summaries_recomputed is not None:
-            summary += f", {self.summaries_recomputed} summarie(s) recomputed"
-        lines.append(summary)
         return "\n".join(lines)
 
     def to_json_payload(self, verbose: bool = False) -> Dict[str, object]:
@@ -129,8 +122,6 @@ class LintReport:
                 for path, rule, count in self.stale_baseline
             ],
         }
-        if self.summaries_recomputed is not None:
-            payload["summaries_recomputed"] = self.summaries_recomputed
         if verbose:
             payload["suppressed"] = records(self.suppressed)
             payload["baselined"] = records(self.baselined)
@@ -283,49 +274,12 @@ def _iter_python_files(paths: Iterable["str | Path"]) -> List[Path]:
     return files
 
 
-def _report_to_payload(report: LintReport) -> Dict[str, object]:
-    """Serialize a full report for the program-level cache (in original
-    order — replay must render byte-identically)."""
-    from repro.analysis.cache import violation_to_record
-
-    return {
-        "violations": [violation_to_record(v) for v in report.violations],
-        "suppressed": [violation_to_record(v) for v in report.suppressed],
-        "baselined": [violation_to_record(v) for v in report.baselined],
-        "stale_baseline": [
-            [path, rule, count] for path, rule, count in report.stale_baseline
-        ],
-        "files_checked": report.files_checked,
-    }
-
-
-def _report_from_payload(payload: Dict[str, object]) -> Optional[LintReport]:
-    """Rebuild a cached report; None (a cache miss) on any malformation."""
-    from repro.analysis.cache import violation_from_record
-
-    try:
-        return LintReport(
-            violations=[violation_from_record(r) for r in payload["violations"]],
-            suppressed=[violation_from_record(r) for r in payload["suppressed"]],
-            baselined=[violation_from_record(r) for r in payload["baselined"]],
-            stale_baseline=[
-                (str(path), str(rule), int(count))
-                for path, rule, count in payload["stale_baseline"]
-            ],
-            files_checked=int(payload["files_checked"]),
-        )
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
 def lint_paths(
     paths: Sequence["str | Path"],
     baseline_path: Optional["str | Path"] = None,
     *,
     interproc: bool = False,
     only_keys: Optional[Iterable[str]] = None,
-    incremental: bool = False,
-    cache_dir: Optional["str | Path"] = None,
 ) -> LintReport:
     """Lint every ``*.py`` under ``paths`` (files or directories).
 
@@ -333,7 +287,8 @@ def lint_paths(
     lint suite holds itself to its own determinism rules.
 
     ``interproc=True`` additionally builds the whole-program call graph
-    and runs the DT201-DT204 pass (:mod:`repro.analysis.interproc`); its
+    and runs the DT201-DT204 pass (:mod:`repro.analysis.interproc`) and
+    the DT301-DT305 dataflow pass (:mod:`repro.analysis.dataflow`); their
     violations go through the same inline-allow and baseline machinery,
     attributed to the module each one is located in.
 
@@ -343,55 +298,14 @@ def lint_paths(
     output and ``files_checked`` cover only the selected modules, and
     stale-baseline accounting is skipped because a partial run cannot
     distinguish a stale entry from an unvisited one.
-
-    ``incremental=True`` consults the content-hashed summary cache
-    (:mod:`repro.analysis.cache`, default ``.repro-lint-cache/``, or
-    ``cache_dir``): a byte-identical tree replays the previous report
-    without parsing anything, and a partially-changed tree re-summarizes
-    only the changed modules (:attr:`LintReport.summaries_recomputed`
-    counts them).  Results are identical to a cold run by construction —
-    entries are keyed by rule-set, source, and directive-ledger content.
-    Ignored under ``only_keys``: a partial report is not a tree state
-    worth caching.
     """
     baseline = load_baseline(baseline_path) if baseline_path is not None else None
     report = LintReport()
     selected = None if only_keys is None else set(only_keys)
-    ordered: List[Tuple[Path, str, str]] = [
-        (file_path, module_key(file_path), file_path.read_text())
-        for file_path in _iter_python_files(paths)
-    ]
-    use_cache = incremental and selected is None
-    cache = None
-    fingerprints: Dict[str, str] = {}
-    program_key: Optional[str] = None
-    if use_cache:
-        from repro.analysis.cache import (
-            DEFAULT_CACHE_DIR,
-            LintCache,
-            module_fingerprint,
-            program_digest,
-        )
-        from repro.analysis.dataflow import directive_comments
-
-        cache = LintCache(DEFAULT_CACHE_DIR if cache_dir is None else cache_dir)
-        fingerprints = {
-            key: module_fingerprint(key, source, directive_comments(source))
-            for _, key, source in ordered
-        }
-        baseline_text = (
-            Path(baseline_path).read_text() if baseline_path is not None else ""
-        )
-        program_key = program_digest(fingerprints, baseline_text, interproc)
-        cached = cache.load_program(program_key)
-        if cached is not None:
-            replayed = _report_from_payload(cached)
-            if replayed is not None:
-                replayed.summaries_recomputed = 0
-                return replayed
-        report.summaries_recomputed = 0
     parsed: Dict[str, Tuple[str, ast.AST]] = {}
-    for file_path, key, source in ordered:
+    for file_path in _iter_python_files(paths):
+        key = module_key(file_path)
+        source = file_path.read_text()
         if interproc:
             try:
                 parsed[key] = (source, ast.parse(source, filename=str(file_path)))
@@ -399,26 +313,19 @@ def lint_paths(
                 raise LintError(f"{file_path}: cannot parse: {exc}") from exc
         if selected is not None and key not in selected:
             continue
-        raw: Optional[Sequence[Violation]] = None
-        if use_cache:
-            raw = cache.load_summary(fingerprints[key])
-        if raw is None:
-            if key in parsed:
-                tree = parsed[key][1]
-            else:
-                try:
-                    tree = ast.parse(source, filename=str(file_path))
-                except SyntaxError as exc:
-                    raise LintError(f"{file_path}: cannot parse: {exc}") from exc
-            raw = scan_module(
-                tree,
-                path=key,
-                decision_path=_is_decision_path(key, source),
-                randomness_allowed=_randomness_allowed(key, source),
-            )
-            if use_cache:
-                cache.store_summary(fingerprints[key], key, raw)
-                report.summaries_recomputed += 1
+        if key in parsed:
+            tree = parsed[key][1]
+        else:
+            try:
+                tree = ast.parse(source, filename=str(file_path))
+            except SyntaxError as exc:
+                raise LintError(f"{file_path}: cannot parse: {exc}") from exc
+        raw = scan_module(
+            tree,
+            path=key,
+            decision_path=_is_decision_path(key, source),
+            randomness_allowed=_randomness_allowed(key, source),
+        )
         _filter_violations(raw, key, inline_allows(source), baseline, report)
         report.files_checked += 1
     if interproc:
@@ -427,17 +334,13 @@ def lint_paths(
             analyze_dataflow,
             stale_suppression_violations,
         )
-        from repro.analysis.interproc import (
-            analyze_graph,
-            apply_hot_registry,
-            seed_allow_uses,
-        )
-        from repro.analysis.perflint import analyze_perf
+        from repro.analysis.interproc import analyze_graph, seed_allow_uses
 
         graph = build_call_graph(parsed)
-        apply_hot_registry(graph)
+        # analyze_graph marks the built-in hot-path registry on the graph;
+        # the dataflow pass reads those marks, so it must run second.
         by_module: Dict[str, List[Violation]] = {}
-        for violation in analyze_graph(graph) + analyze_dataflow(graph) + analyze_perf(graph):
+        for violation in analyze_graph(graph) + analyze_dataflow(graph):
             by_module.setdefault(violation.path, []).append(violation)
         for key in sorted(by_module):
             if selected is not None and key not in selected:
@@ -470,6 +373,4 @@ def lint_paths(
         report.stale_baseline = sorted(
             (key, rule, count) for (key, rule), count in baseline.items() if count > 0
         )
-    if use_cache and program_key is not None:
-        cache.store_program(program_key, _report_to_payload(report))
     return report

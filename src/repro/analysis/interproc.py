@@ -66,7 +66,6 @@ __all__ = [
     "INTERPROC_RULES",
     "TaintSeed",
     "analyze_graph",
-    "apply_hot_registry",
     "seed_allow_uses",
 ]
 
@@ -460,12 +459,12 @@ def _check_budgets(
 # -- the pass ------------------------------------------------------------------
 
 
-def apply_hot_registry(graph: CallGraph) -> None:
+def _apply_hot_registry(graph: CallGraph) -> None:
     """Mark every built-in registry function hot on this graph (idempotent).
 
-    DT204 here and the whole DT401-DT405 pass
-    (:mod:`repro.analysis.perflint`) share this notion of "hot", so the
-    registry is applied once, up front, by whoever drives the passes.
+    :func:`analyze_graph` applies it before DT204; the flag stays set on
+    the graph, so DT303 (:mod:`repro.analysis.dataflow`), which runs
+    after this pass, sees the same notion of "hot".
     """
     for mod_key, names in HOT_PATH_REGISTRY.items():
         mod = graph.modules.get(mod_key)
@@ -483,7 +482,7 @@ def analyze_graph(graph: CallGraph) -> List[Violation]:
     violations: List[Violation] = []
 
     # Built-in hot-path obligations (applies before DT204).
-    apply_hot_registry(graph)
+    _apply_hot_registry(graph)
 
     # -- DT201 ---------------------------------------------------------------
     direct: Dict[str, TaintSeed] = {}

@@ -59,10 +59,8 @@ Rule catalog (see DESIGN.md §8 for the full rationale):
 Rules DT201-DT204 are the *interprocedural* pass (``lint --interproc``);
 they live in :mod:`repro.analysis.interproc`.  Rules DT301-DT305 are the
 *flow-sensitive dataflow* pass layered on the same call graph; they live
-in :mod:`repro.analysis.dataflow`.  Rules DT401-DT405 are the *hot-path
-performance* pass over the same graph's budget-declared/hot-path
-functions; they live in :mod:`repro.analysis.perflint`.  All are
-registered here so the baseline parser and the CLI catalog know them.
+in :mod:`repro.analysis.dataflow`.  All are registered here so the
+baseline parser and the CLI catalog know them.
 """
 
 from __future__ import annotations
@@ -106,11 +104,6 @@ RULES: Dict[str, str] = {
     "DT303": "paired mutations of contract-protected state span a may-raise operation, or a broad except swallows ContractError",
     "DT304": "stale suppression: an allow[...]/calls[...]/budget directive that no longer suppresses or declares anything",
     "DT305": "wall-clock or OS-entropy value compared or added to a simulated-time expression",
-    "DT401": "heap allocation (literal/comprehension/string build) inside a hot loop",
-    "DT402": "attribute chain loaded repeatedly in a hot region; pre-bind it to a local",
-    "DT403": "un-gated tracing/logging/contract call in a hot function",
-    "DT404": "generator/iterator indirection in a function with a declared O(1)/O(log n) budget",
-    "DT405": "try/except used as control flow where a lookup-with-default exists, in a hot region",
 }
 
 #: Package sub-directories whose modules take scheduling decisions.  Set

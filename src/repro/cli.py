@@ -47,7 +47,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Set
 
 import repro
-from repro.analysis import RULES, LintError, lint_paths, module_key
+from repro.analysis import RULES, LintError, LintReport, lint_paths, module_key
 from repro.cluster.config import ClusterConfig
 from repro.cluster.simulation import ClusterSimulation
 from repro.core.client import make_planner
@@ -188,15 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--verbose", action="store_true",
                       help="also list suppressed and baselined violations")
     lint.add_argument("--interproc", action="store_true",
-                      help="also run the whole-program taint/budget/dataflow/"
-                           "perf passes (DT201-DT204, DT301-DT305, DT401-DT405)")
-    lint.add_argument("--incremental", action="store_true",
-                      help="reuse content-hashed summaries from the lint cache; "
-                           "an unchanged tree replays the previous report, a "
-                           "changed one re-summarizes only the changed modules")
-    lint.add_argument("--cache-dir", metavar="DIR",
-                      help="cache location for --incremental "
-                           "(default: .repro-lint-cache)")
+                      help="also run the whole-program taint/budget/dataflow "
+                           "passes (DT201-DT204, DT301-DT305)")
     lint.add_argument("--format", choices=("text", "json"), default="text",
                       help="report format; json emits stable sort-keyed records "
                            "for CI and --diff consumers (default: text)")
@@ -357,13 +350,18 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if args.diff:
         only_keys = _changed_module_keys(args.diff)
         if only_keys is not None and not only_keys:
-            print(f"lint: no Python files changed versus {args.diff}")
+            message = f"lint: no Python files changed versus {args.diff}"
+            if args.format == "json":
+                print(message, file=sys.stderr)
+                payload = LintReport().to_json_payload(verbose=args.verbose)
+                print(json.dumps(payload, indent=2, sort_keys=True))
+            else:
+                print(message)
             return 0
     try:
         report = lint_paths(
             paths, baseline_path=args.baseline,
             interproc=args.interproc, only_keys=only_keys,
-            incremental=args.incremental, cache_dir=args.cache_dir,
         )
     except (LintError, OSError) as exc:
         print(f"lint: {exc}", file=sys.stderr)

@@ -418,11 +418,11 @@ class JobTracker:
         # pre-bound: most ticks launch nothing, and a pre-bind would tax
         # every one of them to save a load on the few that do.
         while tracker.free_map_slots > 0 and scheduler.maybe_map:
-            task = scheduler.select_task(TaskKind.MAP, self.sim.now)  # repro: allow[DT402]
+            task = scheduler.select_task(TaskKind.MAP, self.sim.now)
             if task is None:
                 scheduler.maybe_map = False
                 break
-            self._launch(task, tracker)  # repro: allow[DT402]
+            self._launch(task, tracker)
             launched.append(task)
         while tracker.free_reduce_slots > 0 and scheduler.maybe_reduce:
             task = scheduler.select_task(TaskKind.REDUCE, self.sim.now)

@@ -206,7 +206,7 @@ class MetricsCollector:
         for scheduler, counters in other.scheduler_counters.items():
             # Merge folds a handful of shard tables once per run, not
             # per-event work; the fresh bucket dict is the output itself.
-            bucket = self.scheduler_counters.setdefault(scheduler, {})  # repro: allow[DT401]
+            bucket = self.scheduler_counters.setdefault(scheduler, {})
             for name, value in counters.items():
                 bucket[name] = bucket.get(name, 0) + value
         return self

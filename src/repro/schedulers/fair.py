@@ -116,16 +116,16 @@ class FairScheduler(WorkflowScheduler):
         nonrunnable: List[Tuple[int, str]] = []
         # The heap/skipped entries ARE this round's working set: one tuple
         # per job per batched round (not per event), bounded by the job
-        # count — the DT401 bounded-accumulator bargain.
+        # count — a bounded-accumulator bargain.
         for position, jip in enumerate(jobs):
             if jip.completed:
                 continue
             job_id = jip.job_id
             if not jip.has_runnable(kind):
-                nonrunnable.append((position, job_id))  # repro: allow[DT401]
+                nonrunnable.append((position, job_id))
                 continue
             occupancy = jip.running_maps if use_map else jip.running_reduces
-            heap.append((occupancy, jip.submit_time, job_id, position, jip))  # repro: allow[DT401]
+            heap.append((occupancy, jip.submit_time, job_id, position, jip))
         heapq.heapify(heap)
         launched = 0
         while launched < limit and heap:
@@ -157,9 +157,9 @@ class FairScheduler(WorkflowScheduler):
                 occupancy = jip.running_maps if use_map else jip.running_reduces
                 # Re-queue entries are one tuple per launch, not per event
                 # (same bounded-accumulator bargain as the heap build).
-                heapq.heappush(heap, (occupancy, submit_time, job_id, position, jip))  # repro: allow[DT401]
+                heapq.heappush(heap, (occupancy, submit_time, job_id, position, jip))
             else:
-                insort(nonrunnable, (position, job_id))  # repro: allow[DT401]
+                insort(nonrunnable, (position, job_id))
         if launched < limit and tracing:
             self.tracer.incr(self.name, "idle_decisions")
             self.tracer.record(

@@ -157,7 +157,7 @@ class BatchingPlanner:
             key = PlanCache.fingerprint(req.workflow, req.order, req.total_slots, req.mode)
             group = by_key.get(key)
             if group is None:
-                by_key[key] = [req]  # repro: allow[DT401] - one accumulator per distinct fingerprint
+                by_key[key] = [req]  # one accumulator per distinct fingerprint
             else:
                 group.append(req)
         # Stage 2 — group distinct fingerprints by fusion key: everything
@@ -165,10 +165,10 @@ class BatchingPlanner:
         # _SimProblem and a probe memo.
         fusion: Dict[Tuple[Any, ...], List[List[_PendingRequest]]] = {}
         for key, group in by_key.items():
-            fkey = (key[0], key[1], key[4])  # repro: allow[DT401] - (structure, order, mode) grouping key
+            fkey = (key[0], key[1], key[4])  # (structure, order, mode) grouping key
             members = fusion.get(fkey)
             if members is None:
-                fusion[fkey] = [group]  # repro: allow[DT401] - one accumulator per fusion group
+                fusion[fkey] = [group]  # one accumulator per fusion group
             else:
                 members.append(group)
         fused_here = len(batch) - len(by_key)
@@ -180,7 +180,7 @@ class BatchingPlanner:
             # call, hoisted out of the member loop.  The memo carries probe
             # results across the members' cap searches.
             problem = _SimProblem(first.workflow, first.order)
-            memo: Dict[Any, Any] = {}  # repro: allow[DT401] - one probe memo per fusion group
+            memo: Dict[Any, Any] = {}  # one probe memo per fusion group
             for group in members:
                 lead = group[0]
                 try:
@@ -201,7 +201,7 @@ class BatchingPlanner:
                 for req in group:
                     future = req.future
                     if not future.done():
-                        future.set_result((entry, outcome))  # repro: allow[DT401] - the per-request result pair
+                        future.set_result((entry, outcome))  # the per-request result pair
                     outcome = "fused"
         self.batches += 1
         self.batched_requests += len(batch)

@@ -15,6 +15,7 @@ from repro.analysis.dataflow import (
     directive_comments,
     stale_suppression_violations,
 )
+from repro.analysis.interproc import HOT_PATH_REGISTRY
 
 FIXTURES = Path(__file__).parent / "fixtures" / "dataflow"
 
@@ -296,6 +297,39 @@ def test_dt303_quiet_outside_decision_or_hot_paths():
     assert [v for v in violations if v.rule == "DT303"] == []
 
 
+@pytest.mark.parametrize(
+    "key, qualname",
+    [
+        ("repro/events.py", "Simulator.schedule"),
+        ("repro/metrics/collector.py", "MetricsCollector.on_task_launch"),
+        ("repro/serve/batching.py", "BatchingPlanner.flush_now"),
+    ],
+)
+def test_dt303_covers_registry_hot_functions_outside_decision_paths(
+    tmp_path, key, qualname
+):
+    """The interproc pass marks the built-in hot-path registry on the
+    graph before the dataflow pass reads it, so a registry function in a
+    non-decision package gets DT303 with no marker comment; an unlisted
+    sibling with the same body does not."""
+    cls, method = qualname.split(".")
+    assert qualname in HOT_PATH_REGISTRY[key]
+    body = (
+        "(self, state, token):\n"
+        "        state.count += 1\n"
+        "        value = _parse(token)\n"
+        "        state.entries[token] = value\n"
+    )
+    module = tmp_path / key
+    module.parent.mkdir(parents=True)
+    module.write_text(
+        _PARSE + f"class {cls}:\n    def {method}{body}\n    def unlisted{body}"
+    )
+    report = lint_paths([tmp_path], interproc=True)
+    hits = [v for v in report.violations if v.rule == "DT303"]
+    assert [(v.path, v.line) for v in hits] == [(key, _PARSE.count("\n") + 4)]
+
+
 def test_dt303_try_wrapped_raiser_is_handled():
     violations = analyze({
         "repro/core/x.py": (
@@ -405,6 +439,20 @@ def test_unused_allow_reported_and_used_allow_spared(tmp_path):
     assert hit.rule == "DT304"
     assert hit.line == 7
     assert "allow[DT101]" in hit.message
+
+
+@pytest.mark.parametrize("ids", ["DT999", "DT102, DT999"])
+def test_allow_naming_a_rule_outside_the_catalog_is_stale(tmp_path, ids):
+    """An allow left behind by a retired rule id is reported, alone or next
+    to a live id on the same line."""
+    (tmp_path / "m.py").write_text(
+        "import time\n\n"
+        "def stamp():\n"
+        f"    return time.time()  # repro: allow[{ids}]\n"
+    )
+    report = lint_paths([tmp_path], interproc=True)
+    stale = [v for v in report.violations if v.rule == "DT304"]
+    assert [(v.line, "allow[DT999]" in v.message) for v in stale] == [(4, True)]
 
 
 def test_allow_dt304_silences_the_staleness_report(tmp_path):

@@ -1,5 +1,6 @@
 """Lint driver mechanics: suppressions, baselines, module keys, errors."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -257,9 +258,37 @@ def test_cli_diff_with_no_changed_files_exits_clean(tmp_path, monkeypatch, capsy
     # The file has a violation, but nothing changed versus HEAD.
     assert cli_main(["lint", str(fixture), "--diff", "HEAD"]) == 0
     assert "no Python files changed" in capsys.readouterr().out
+    # JSON mode keeps stdout parseable: the empty report there, the
+    # message on stderr.
+    assert cli_main(["lint", str(fixture), "--diff", "HEAD", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["clean"] is True
+    assert payload["files_checked"] == 0
+    assert payload["violations"] == []
+    assert "no Python files changed" in captured.err
     # Once it changes, the violation is back in scope.
     fixture.write_text("import time\ndef g():\n    return time.time()\n")
     assert cli_main(["lint", str(fixture), "--diff", "HEAD"]) == 1
+
+
+@pytest.mark.parametrize("verbose", [False, True])
+def test_json_payload_has_a_fixed_key_set(verbose):
+    payload = lint_paths([FIXTURES]).to_json_payload(verbose=verbose)
+    keys = {
+        "clean", "files_checked", "violations", "suppressed_count",
+        "baselined_count", "stale_baseline",
+    }
+    if verbose:
+        keys |= {"suppressed", "baselined"}
+    assert set(payload) == keys
+
+
+def test_text_report_ends_with_the_count_summary():
+    report = lint_paths([FIXTURES / "suppressed_violation.py"])
+    assert report.render().splitlines()[-1] == (
+        "0 violation(s), 1 suppressed, 0 baselined, 1 file(s) checked"
+    )
 
 
 def test_directory_lint_is_deterministic_and_counts_files():

@@ -6,6 +6,7 @@ that violation, one clean decision-path module, and one inline-suppressed
 hit.  ``repro lint`` must exit non-zero on each violating fixture.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,6 @@ import pytest
 from repro.analysis import RULES, lint_paths, lint_source
 from repro.analysis.dataflow import DATAFLOW_RULES
 from repro.analysis.interproc import INTERPROC_RULES
-from repro.analysis.perflint import PERF_RULES
 from repro.cli import main as cli_main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -47,31 +47,14 @@ DATAFLOW_FIXTURES = {
     "DT305": "dataflow/df_wallclock_taint.py",
 }
 
-#: The hot-path performance rules' fixtures live in ``fixtures/perflint/``
-#: and are exercised (whole-corpus, ``interproc=True``) by test_perflint.py.
-PERF_FIXTURES = {
-    "DT401": "perflint/pf_alloc.py",
-    "DT402": "perflint/pf_chain.py",
-    "DT403": "perflint/pf_trace.py",
-    "DT404": "perflint/pf_generator.py",
-    "DT405": "perflint/pf_except.py",
-}
-
-
 def test_every_rule_has_a_fixture():
     assert (
         set(RULE_FIXTURES) | set(INTERPROC_FIXTURES) | set(DATAFLOW_FIXTURES)
-        | set(PERF_FIXTURES)
         == set(RULES)
     )
     assert set(INTERPROC_FIXTURES) == set(INTERPROC_RULES)
     assert set(DATAFLOW_FIXTURES) == set(DATAFLOW_RULES)
-    assert set(PERF_FIXTURES) == set(PERF_RULES)
-    for rel in (
-        *INTERPROC_FIXTURES.values(),
-        *DATAFLOW_FIXTURES.values(),
-        *PERF_FIXTURES.values(),
-    ):
+    for rel in (*INTERPROC_FIXTURES.values(), *DATAFLOW_FIXTURES.values()):
         assert (FIXTURES / rel).is_file(), rel
 
 
@@ -88,6 +71,24 @@ def test_cli_exits_nonzero_on_fixture(rule_id, capsys):
     assert exit_code == 1
     out = capsys.readouterr().out
     assert rule_id in out
+
+
+@pytest.mark.parametrize("rule_id", sorted(RULES))
+def test_interproc_json_report_names_the_rule_on_its_fixture(rule_id, capsys):
+    """The CI gate's form (``--interproc --format json``) reports every
+    catalog rule at its fixture.  Whole-program rules lint their corpus
+    directory: a fixture may lean on a sibling helper module."""
+    if rule_id in RULE_FIXTURES:
+        fixture = target = FIXTURES / RULE_FIXTURES[rule_id]
+    else:
+        fixture = FIXTURES / {**INTERPROC_FIXTURES, **DATAFLOW_FIXTURES}[rule_id]
+        target = fixture.parent
+    exit_code = cli_main(["lint", str(target), "--interproc", "--format", "json"])
+    assert exit_code == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["clean"] is False
+    modules = {r["module"] for r in payload["violations"] if r["rule"] == rule_id}
+    assert fixture.name in modules
 
 
 def test_clean_fixture_passes():

@@ -3,7 +3,7 @@
 ``JobTracker.heartbeat`` and ``JobTracker.schedule_round`` are unrolled
 over the map and reduce pools, and untraced scheduling rounds skip asking
 the scheduler for a kind already proven idle when its idle answers are
-pure (DESIGN.md §10).  The batched, quiescent-heartbeat and perflint
+pure (DESIGN.md §10).  The batched, quiescent-heartbeat and fast-path-corner
 equivalence suites all run traced, and a traced round still asks, so none
 of them covers the untraced path.  This suite does: each scenario runs on
 the production loops and on the frozen per-call loops of

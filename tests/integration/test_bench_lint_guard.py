@@ -11,11 +11,8 @@ from pathlib import Path
 
 from benchmarks.bench_lint_speed import (
     BUDGET_SECONDS,
-    INCREMENTAL_BUDGET_SECONDS,
     INTERPROC_BUDGET_SECONDS,
-    MIN_INCREMENTAL_SPEEDUP,
     run_bench,
-    run_incremental_bench,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "analysis" / "fixtures"
@@ -44,21 +41,7 @@ def test_bench_interproc_payload_shape_on_toy_corpus(tmp_path):
 
     assert json.loads(json.dumps(payload)) == payload
     assert payload["bench"] == "lint_speed_interproc"
-    # The whole-program pass adds the DT2xx/DT3xx/DT4xx corpus findings.
+    # The whole-program pass adds the DT2xx/DT3xx corpus findings.
     assert payload["violations"] >= 15
     assert payload["budget_seconds"] == INTERPROC_BUDGET_SECONDS
 
-
-def test_bench_incremental_payload_shape_on_toy_corpus(tmp_path):
-    baseline = tmp_path / "baseline.txt"
-    baseline.write_text("")
-    payload = run_incremental_bench(paths=[FIXTURES], baseline=baseline, repeats=1)
-
-    assert json.loads(json.dumps(payload)) == payload
-    assert payload["bench"] == "lint_speed_incremental"
-    assert payload["files_checked"] >= 8
-    # The warm replay must be a full program-cache hit.
-    assert payload["warm_summaries_recomputed"] == 0
-    assert payload["cold_seconds"] > 0 and payload["warm_seconds"] > 0
-    assert payload["budget_seconds"] == INCREMENTAL_BUDGET_SECONDS
-    assert payload["min_speedup"] == MIN_INCREMENTAL_SPEEDUP
