@@ -7,19 +7,20 @@ Three layers of one guarantee:
   in the scheduler's decision paths.  CLI: ``repro lint``.
 * :mod:`repro.analysis.callgraph` / :mod:`repro.analysis.interproc` /
   :mod:`repro.analysis.dataflow` — the whole-program passes
-  (``DT201``-``DT204``, ``DT301``-``DT305``): nondeterminism taint along
-  the call graph, dynamic-call holes, §IV complexity budgets, and the
-  flow-sensitive dataflow rules (fork-shared state, pool picklability,
-  exception atomicity, stale suppressions, simulated-time purity;
-  DESIGN.md §13).  CLI: ``repro lint --interproc`` and ``repro callgraph``.
-  Hot-path constant factors are not linted; the end-to-end benchmark's
-  per-layer metrics guard them (DESIGN.md §14).
+  (``DT201``-``DT202``, ``DT301``-``DT305``): nondeterminism taint along
+  the call graph, dynamic-call holes, and the flow-sensitive dataflow
+  rules (fork-shared state, pool picklability, exception atomicity, stale
+  or unknown directives, simulated-time purity; DESIGN.md §13).  CLI:
+  ``repro lint --interproc`` and ``repro callgraph``.  Hot-path cost —
+  asymptotic and constant-factor — is not linted; the end-to-end
+  benchmark's per-layer metrics and the Fig 13a bench guard it
+  (DESIGN.md §9, §14).
 * :mod:`repro.analysis.contracts` — runtime checkers asserting the DSL
   cross-link, skip-list level monotonicity, Algorithm 1 plan monotonicity
   and prerequisite-respecting dispatch, zero-cost when disabled.
 """
 
-from repro.analysis.annotations import decision_path, entrypoint, hot_path
+from repro.analysis.annotations import decision_path, entrypoint
 from repro.analysis.contracts import (
     NULL_CONTRACTS,
     ContractChecker,
@@ -46,7 +47,6 @@ __all__ = [
     "LintReport",
     "decision_path",
     "entrypoint",
-    "hot_path",
     "lint_paths",
     "lint_source",
     "load_baseline",

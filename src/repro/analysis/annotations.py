@@ -9,14 +9,12 @@ them as sinks and the dynamic-call rule (DT202) covers them.
 The decorators are deliberately trivial at runtime: they tag the function
 object and record it in a registry, nothing else.  The analyzer recognises
 them *syntactically* (a decorator whose terminal identifier is
-``decision_path`` / ``hot_path``), so annotated code needs no import-time
-coupling to the analysis package beyond this leaf module.
+``decision_path`` / ``entrypoint``), so annotated code needs no
+import-time coupling to the analysis package beyond this leaf module.
 
-``hot_path`` additionally obliges the function to carry a
-``# repro: budget O(...)`` declaration — rule DT204 fires on a hot-path
-function without one (the same obligation the built-in
-``HOT_PATH_REGISTRY`` imposes on the Double Skip List mutators and
-``WohaScheduler.select_task``).
+Hot-path functions are not marked here: the exception-atomicity rule
+(DT303) reads them from ``HOT_PATH_REGISTRY`` in
+:mod:`repro.analysis.dataflow`, the one place that names them.
 """
 
 from __future__ import annotations
@@ -26,11 +24,9 @@ from typing import Callable, Dict, TypeVar
 __all__ = [
     "decision_path",
     "entrypoint",
-    "hot_path",
     "DECISION_PATH_REGISTRY",
     "ENTRYPOINT_KINDS",
     "ENTRYPOINT_REGISTRY",
-    "HOT_PATH_REGISTRY_RUNTIME",
 ]
 
 _F = TypeVar("_F", bound=Callable)
@@ -38,18 +34,11 @@ _F = TypeVar("_F", bound=Callable)
 #: ``module.qualname`` -> function, for every ``@decision_path`` target.
 DECISION_PATH_REGISTRY: Dict[str, Callable] = {}
 
-#: ``module.qualname`` -> function, for every ``@hot_path`` target.
-HOT_PATH_REGISTRY_RUNTIME: Dict[str, Callable] = {}
-
 #: The boundary kinds an entry point may declare.
 ENTRYPOINT_KINDS = ("fork", "service")
 
 #: ``module.qualname`` -> kind, for every ``@entrypoint(...)`` target.
 ENTRYPOINT_REGISTRY: Dict[str, str] = {}
-
-
-def _register(registry: Dict[str, Callable], fn: Callable) -> None:
-    registry[f"{fn.__module__}.{fn.__qualname__}"] = fn
 
 
 def decision_path(fn: _F) -> _F:
@@ -60,18 +49,7 @@ def decision_path(fn: _F) -> _F:
     unresolved dynamic calls inside it are DT202.
     """
     fn.__repro_decision_path__ = True  # type: ignore[attr-defined]
-    _register(DECISION_PATH_REGISTRY, fn)
-    return fn
-
-
-def hot_path(fn: _F) -> _F:
-    """Mark ``fn`` as performance-critical: it must declare a budget.
-
-    A hot-path function without a ``# repro: budget O(...)`` comment on (or
-    directly above) its ``def`` line is a DT204 violation.
-    """
-    fn.__repro_hot_path__ = True  # type: ignore[attr-defined]
-    _register(HOT_PATH_REGISTRY_RUNTIME, fn)
+    DECISION_PATH_REGISTRY[f"{fn.__module__}.{fn.__qualname__}"] = fn
     return fn
 
 

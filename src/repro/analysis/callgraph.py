@@ -1,10 +1,10 @@
 """Whole-program call graph over the ``repro`` package (DESIGN.md §9).
 
 The intraprocedural lint (DT101-DT107) judges each file alone, so a
-nondeterministic helper *called from* a decision path, or an O(n_w) scan
-smuggled behind a function call, sails through.  This module builds the
-call graph those interprocedural rules (:mod:`repro.analysis.interproc`)
-walk.
+nondeterministic helper *called from* a decision path sails through.  This
+module builds the call graph the interprocedural rules
+(:mod:`repro.analysis.interproc`) and the dataflow pass
+(:mod:`repro.analysis.dataflow`) walk.
 
 Resolution is deliberately syntactic — no imports are executed — and
 layered from precise to conservative:
@@ -17,8 +17,8 @@ layered from precise to conservative:
    variable assigned from a known constructor in the same function.
 3. **Class-attribute lookup (CHA)**: ``expr.m(...)`` falls back to every
    project class defining ``m``.  A single candidate yields a precise
-   edge; several yield *ambiguous* edges (used by the taint engine, but
-   excluded from budget arithmetic — see interproc).
+   edge; several yield *ambiguous* edges (the taint engine takes the
+   union over them).
 4. **Registry/factory dispatch**: module-level dict literals whose values
    are callables (``SCHEDULER_REGISTRY``, ``QUEUE_BACKENDS``...) become
    dispatch tables; subscripting one and calling the result fans out to
@@ -30,11 +30,10 @@ Anything still unresolved whose callee is a first-class value (a
 parameter, a ``getattr`` result, a subscript) is recorded as a
 :class:`DynamicCall` — rule DT202 fires on those inside decision paths.
 
-Budget declarations (``# repro: budget O(1)|O(log n)|O(n)`` on or directly
-above a ``def``), ``# repro: hot-path`` markers and the
-``@decision_path``/``@hot_path`` decorators of
-:mod:`repro.analysis.annotations` are parsed here and attached to
-:class:`FunctionInfo` nodes for the budget checker.
+The ``@decision_path``/``@entrypoint`` decorators of
+:mod:`repro.analysis.annotations` (and the ``# repro: entrypoint[...]``
+comment form) are recognised here and attached to :class:`FunctionInfo`
+nodes.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from repro.analysis.engine import (
 )
 
 __all__ = [
-    "BUDGET_GRAMMAR",
     "CallEdge",
     "CallGraph",
     "DynamicCall",
@@ -59,15 +57,8 @@ __all__ = [
     "ModuleInfo",
     "build_call_graph",
     "build_call_graph_from_paths",
-    "parse_budget",
 ]
 
-#: The declared-complexity grammar, least to most expensive.  Ranks are
-#: positions in this tuple; the checker compares ranks, never strings.
-BUDGET_GRAMMAR: Tuple[str, ...] = ("O(1)", "O(log n)", "O(n)")
-
-_BUDGET_RE = re.compile(r"#\s*repro:\s*budget\s+(O\((?:1|log n|n)\))")
-_HOT_PATH_RE = re.compile(r"#\s*repro:\s*hot-path\b")
 _CALLS_RE = re.compile(r"#\s*repro:\s*calls\[([^\]]*)\]")
 _ENTRYPOINT_RE = re.compile(r"#\s*repro:\s*entrypoint\[(fork|service)\]")
 
@@ -85,12 +76,6 @@ _BUILTINS = frozenset(
 )
 
 
-def parse_budget(text: str) -> Optional[str]:
-    """The budget declared by one source line, if any."""
-    match = _BUDGET_RE.search(text)
-    return match.group(1) if match else None
-
-
 @dataclass
 class FunctionInfo:
     """One function or method node of the graph."""
@@ -101,15 +86,9 @@ class FunctionInfo:
     line: int
     end_line: int
     decision_path: bool = False
-    hot_path: bool = False
-    budget: Optional[str] = None
     node: Optional[ast.AST] = field(default=None, repr=False, compare=False)
     owner_class: Optional[str] = None  # owning class name, methods only
     entrypoint: Optional[str] = None  # "fork" | "service" boundary kind
-
-    @property
-    def budget_rank(self) -> Optional[int]:
-        return BUDGET_GRAMMAR.index(self.budget) if self.budget else None
 
 
 @dataclass(frozen=True)
@@ -157,8 +136,6 @@ class ModuleInfo:
     classes: Dict[str, _ClassInfo] = field(default_factory=dict)
     imports: Dict[str, str] = field(default_factory=dict)  # alias -> dotted
     tables: Dict[str, List[str]] = field(default_factory=dict)  # dict name -> refs
-    budget_lines: Dict[int, str] = field(default_factory=dict)
-    hot_lines: Set[int] = field(default_factory=set)
     calls_lines: Dict[int, List[str]] = field(default_factory=dict)
     entry_lines: Dict[int, str] = field(default_factory=dict)  # line -> kind
 
@@ -211,8 +188,6 @@ class CallGraph:
                     "name": fn.name,
                     "line": fn.line,
                     "decision_path": fn.decision_path,
-                    "hot_path": fn.hot_path,
-                    "budget": fn.budget,
                     "entrypoint": fn.entrypoint,
                 }
                 for _, fn in sorted(self.functions.items())
@@ -243,7 +218,7 @@ class CallGraph:
         }
 
     def to_dot(self) -> str:
-        """GraphViz export: decision-path nodes boxed, budgets as labels."""
+        """GraphViz export: decision-path nodes boxed."""
         lines = [
             "digraph callgraph {",
             "  rankdir=LR;",
@@ -251,11 +226,9 @@ class CallGraph:
         ]
         for qualname, fn in sorted(self.functions.items()):
             label = fn.qualname.replace('"', "'")
-            attrs = [f'label="{label}' + (f"\\n{fn.budget}" if fn.budget else "") + '"']
+            attrs = [f'label="{label}"']
             if fn.decision_path:
                 attrs.append("shape=box")
-            if fn.hot_path or fn.budget:
-                attrs.append('style=filled, fillcolor="#f0f0f0"')
             lines.append(f'  "{qualname}" [{", ".join(attrs)}];')
         for edge in sorted(set(self.edges), key=lambda e: (e.caller, e.callee, e.line, e.kind)):
             style = ', style=dashed' if edge.ambiguous else ""
@@ -278,9 +251,9 @@ def _dotted_module_name(key: str) -> str:
     return trimmed.replace("/", ".")
 
 
-def _decorator_marks(node: ast.AST) -> Tuple[bool, bool, Optional[str]]:
-    """(decision_path, hot_path, entrypoint kind) from a def's decorators."""
-    decision = hot = False
+def _decorator_marks(node: ast.AST) -> Tuple[bool, Optional[str]]:
+    """(decision_path, entrypoint kind) from a def's decorators."""
+    decision = False
     entry: Optional[str] = None
     for dec in getattr(node, "decorator_list", []):
         target = dec.func if isinstance(dec, ast.Call) else dec
@@ -289,13 +262,11 @@ def _decorator_marks(node: ast.AST) -> Tuple[bool, bool, Optional[str]]:
         )
         if ident == "decision_path":
             decision = True
-        elif ident == "hot_path":
-            hot = True
         elif ident == "entrypoint" and isinstance(dec, ast.Call) and dec.args:
             arg = dec.args[0]
             if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
                 entry = arg.value
-    return decision, hot, entry
+    return decision, entry
 
 
 def _ref_string(node: ast.AST) -> Optional[str]:
@@ -337,11 +308,6 @@ def _index_module(key: str, source: str, tree: ast.AST) -> ModuleInfo:
         randomness_allowed=randomness_allowed_module(key, source),
     )
     for lineno, line in enumerate(source.splitlines(), start=1):
-        budget = parse_budget(line)
-        if budget is not None:
-            info.budget_lines[lineno] = budget
-        if _HOT_PATH_RE.search(line):
-            info.hot_lines.add(lineno)
         calls = _CALLS_RE.search(line)
         if calls is not None:
             targets = [t.strip() for t in calls.group(1).split(",") if t.strip()]
@@ -351,7 +317,7 @@ def _index_module(key: str, source: str, tree: ast.AST) -> ModuleInfo:
             info.entry_lines[lineno] = entry.group(1)
 
     def add_function(node: ast.AST, name: str, owner: Optional[str]) -> FunctionInfo:
-        decision, hot, entry = _decorator_marks(node)
+        decision, entry = _decorator_marks(node)
         fn = FunctionInfo(
             qualname=f"{key}::{name}",
             module=key,
@@ -359,19 +325,12 @@ def _index_module(key: str, source: str, tree: ast.AST) -> ModuleInfo:
             line=node.lineno,
             end_line=getattr(node, "end_lineno", node.lineno),
             decision_path=info.decision_path or decision,
-            hot_path=hot,
-            budget=info.budget_lines.get(node.lineno)
-            or info.budget_lines.get(node.lineno - 1),
             node=node,
             owner_class=owner,
             entrypoint=entry
             or info.entry_lines.get(node.lineno)
             or info.entry_lines.get(node.lineno - 1),
         )
-        if not fn.hot_path:
-            fn.hot_path = bool(
-                {node.lineno, node.lineno - 1} & info.hot_lines
-            )
         info.functions[name] = fn
         return fn
 

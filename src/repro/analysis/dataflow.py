@@ -1,11 +1,11 @@
 """Flow-sensitive interprocedural dataflow pass (DT301-DT305; DESIGN.md §13).
 
 The DT2xx pass answers *reachability* questions (does nondeterminism reach
-a decision path, does a budgeted chain hide a scan).  The hazards the fork
-pool (DESIGN.md §11) and the planned multi-tenant planning service expose
-are *state* questions: which module/class-level objects does a call chain
-write, which operations can raise partway through a mutation sequence,
-which callables actually cross a pickling boundary.  This module computes
+a decision path, does a decision path call something unresolvable).  The
+hazards the fork pool (DESIGN.md §11) and the multi-tenant planning service
+expose are *state* questions: which module/class-level objects does a call
+chain write, which operations can raise partway through a mutation
+sequence, which callables actually cross a pickling boundary.  This module computes
 per-function **summaries** over the :mod:`repro.analysis.callgraph` graph
 and propagates them to a fixpoint:
 
@@ -38,22 +38,24 @@ The rules on top:
     a bound method.  Module-level functions — including a conditional
     rebinding between two of them — pass.
 ``DT303`` exception atomicity
-    In a decision-path/hot-path function, two mutations of the same
-    receiver in one statement block with a may-raise operation strictly
-    between them: an exception there leaves contract-protected structures
-    (``DoubleSkipList``, ``_WorkflowRecord``, WIP bookkeeping, cache
-    counters) half-updated.  Also: a broad ``except Exception:`` /bare
+    In a decision-path function or one named by :data:`HOT_PATH_REGISTRY`,
+    two mutations of the same receiver in one statement block with a
+    may-raise operation strictly between them: an exception there leaves
+    contract-protected structures (``DoubleSkipList``, ``_WorkflowRecord``,
+    WIP bookkeeping, cache counters) half-updated.  Also: a broad ``except Exception:`` /bare
     ``except:`` without a re-raise in such a function, which can swallow
     ``ContractError`` and convert an invariant violation into silent state
     corruption.
-``DT304`` stale suppressions
+``DT304`` stale or unknown directives
     An ``allow[...]`` id that suppressed nothing this run (checked against
     the engine's suppression ledger *and* the taint-seed allows of
     :func:`repro.analysis.interproc.seed_allow_uses`), a ``calls[...]``
-    on a line with no dynamic call left, or a ``budget`` comment attached
-    to no ``def``.  Directives are read from real ``tokenize`` COMMENT
-    tokens, never from string literals, so docstrings that *mention*
-    directives (like this one) cannot go stale.
+    on a line with no dynamic call left, an ``entrypoint[...]`` attached
+    to no ``def``, or a ``# repro: <kind>`` comment whose kind is not one
+    of :data:`DIRECTIVE_KINDS` (a typo, or a retired directive).
+    Directives are read from real ``tokenize`` COMMENT tokens, never from
+    string literals, so docstrings that *mention* directives (like this
+    one) cannot go stale.
 ``DT305`` simulated-time purity
     A wall-clock-derived value (flow-sensitively tracked through local
     assignments, with kill on clean reassignment, and interprocedurally
@@ -67,6 +69,7 @@ from __future__ import annotations
 
 import ast
 import io
+import re
 import tokenize
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
@@ -76,7 +79,6 @@ from repro.analysis.callgraph import (
     CallGraph,
     FunctionInfo,
     ModuleInfo,
-    _BUDGET_RE,
     _CALLS_RE,
     _ENTRYPOINT_RE,
     _ref_string,
@@ -86,8 +88,10 @@ from repro.analysis.rules import Violation, _WALLCLOCK_CALLS
 
 __all__ = [
     "DATAFLOW_RULES",
+    "DIRECTIVE_KINDS",
     "FunctionSummary",
     "GlobalWrite",
+    "HOT_PATH_REGISTRY",
     "analyze_dataflow",
     "compute_summaries",
     "directive_comments",
@@ -96,6 +100,85 @@ __all__ = [
 
 #: The rule ids this pass owns (registered in ``rules.RULES``).
 DATAFLOW_RULES: Tuple[str, ...] = ("DT301", "DT302", "DT303", "DT304", "DT305")
+
+#: Functions that are hot by construction: the §IV data-structure mutators
+#: and the per-heartbeat scheduling path.  DT303 holds them to exception
+#: atomicity as if they sat on a decision path.  This table is the only way
+#: to mark a function hot.
+HOT_PATH_REGISTRY: Dict[str, Tuple[str, ...]] = {
+    "repro/structures/dsl.py": (
+        "DoubleSkipList.insert",
+        "DoubleSkipList.remove",
+        "DoubleSkipList.head_by_ct",
+        "DoubleSkipList.head_by_priority",
+        "DoubleSkipList.update_head_ct",
+        "DoubleSkipList.update_priority",
+        "DoubleSkipList.update_ct",
+        "DoubleSkipList.get",
+    ),
+    "repro/structures/skiplist.py": (
+        "DeterministicSkipList.insert",
+        "DeterministicSkipList.delete",
+        "DeterministicSkipList.peek_head",
+        "DeterministicSkipList.pop_head",
+        "DeterministicSkipList.find",
+    ),
+    "repro/core/scheduler.py": (
+        "WohaScheduler.select_task",
+        "WohaScheduler._advance_ct_heads",
+        "_pick_task_in_workflow",
+    ),
+    "repro/cluster/jobtracker.py": (
+        "JobTracker.heartbeat",
+        "JobTracker._heartbeat_batched",
+        "JobTracker._heartbeat_tick",
+        "JobTracker.schedule_round",
+        "JobTracker._round_batched",
+        "JobTracker._pick_tracker",
+        "JobTracker._notify",
+        "JobTracker._wake_parked",
+        "JobTracker._tracker_quiescent",
+        "JobTracker._launch",
+        "JobTracker._complete_task",
+    ),
+    "repro/cluster/tasktracker.py": (
+        "TaskTracker.free_slots",
+        "TaskTracker.occupy",
+        "TaskTracker.release",
+    ),
+    "repro/events.py": (
+        "Simulator.schedule",
+        "Simulator.run",
+    ),
+    "repro/schedulers/base.py": ("WorkflowScheduler.select_tasks",),
+    "repro/schedulers/fifo.py": (
+        "FifoScheduler.select_task",
+        "FifoScheduler.select_tasks",
+    ),
+    "repro/schedulers/fair.py": ("FairScheduler.select_tasks",),
+    "repro/metrics/collector.py": (
+        "MetricsCollector.merge",
+        "MetricsCollector.on_task_launch",
+        "MetricsCollector.on_task_complete",
+    ),
+    "repro/serve/batching.py": (
+        "BatchingPlanner.flush_now",
+        "BatchingPlanner._flush",
+    ),
+    "repro/core/plancache.py": (
+        "PlanCache.lookup",
+        "PlanCache._commit",
+    ),
+}
+
+#: Every ``# repro: <kind>`` directive the analyzer reads; any other kind
+#: is a DT304 finding.
+DIRECTIVE_KINDS: Tuple[str, ...] = (
+    "allow", "calls", "entrypoint", "decision-path", "randomness-ok",
+)
+
+#: A comment that *is* a directive (modulo leading hash marks/space).
+_DIRECTIVE_KIND_RE = re.compile(r"[#\s]*repro:\s*([A-Za-z][\w-]*)")
 
 #: Constructors whose results are mutable containers.
 _MUTABLE_CONSTRUCTORS = {
@@ -958,7 +1041,9 @@ def _dt303(graph: CallGraph, summaries: Mapping[str, FunctionSummary]) -> List[V
     violations: List[Violation] = []
     for qualname in sorted(graph.functions):
         fn = graph.functions[qualname]
-        if fn.node is None or not (fn.decision_path or fn.hot_path):
+        if fn.node is None or not (
+            fn.decision_path or fn.name in HOT_PATH_REGISTRY.get(fn.module, ())
+        ):
             continue
         line_callees = _line_callees(graph, qualname)
 
@@ -1073,7 +1158,9 @@ def directive_comments(source: str) -> List[Tuple[int, str, str]]:
     docstrings or string literals are invisible — exactly the property the
     regex-based extractors lack and DT304 needs to avoid flagging prose.
     Kinds: ``allow`` (payload = comma list of ids), ``calls`` (payload =
-    target list), ``budget`` (payload = the declared budget).
+    target list), ``entrypoint`` (payload = the boundary kind), and
+    ``unknown`` (payload = the unrecognised kind) for a directive naming
+    none of :data:`DIRECTIVE_KINDS`.
     """
     found: List[Tuple[int, str, str]] = []
     try:
@@ -1099,12 +1186,12 @@ def directive_comments(source: str) -> List[Tuple[int, str, str]]:
         calls = directive(_CALLS_RE, tok.string)
         if calls is not None:
             found.append((line, "calls", calls.group(1)))
-        budget = directive(_BUDGET_RE, tok.string)
-        if budget is not None:
-            found.append((line, "budget", budget.group(1)))
         entry = directive(_ENTRYPOINT_RE, tok.string)
         if entry is not None:
             found.append((line, "entrypoint", entry.group(1)))
+        kind = _DIRECTIVE_KIND_RE.match(tok.string)
+        if kind is not None and kind.group(1) not in DIRECTIVE_KINDS:
+            found.append((line, "unknown", kind.group(1)))
     return found
 
 
@@ -1127,7 +1214,6 @@ def stale_suppression_violations(
     for key in sorted(graph.modules):
         mod = graph.modules[key]
         used = used_allows.get(key, set())
-        def_lines = {fn.line for fn in mod.functions.values()}
         entry_fns = {
             line
             for fn in mod.functions.values()
@@ -1178,20 +1264,19 @@ def stale_suppression_violations(
                             ),
                         )
                     )
-            elif kind == "budget":
-                if line not in def_lines and line + 1 not in def_lines:
-                    violations.append(
-                        Violation(
-                            rule="DT304",
-                            path=key,
-                            line=line,
-                            col=0,
-                            message=(
-                                f"budget {payload} declaration is attached to no "
-                                "function def — move it onto (or above) a def line"
-                            ),
-                        )
+            elif kind == "unknown":
+                violations.append(
+                    Violation(
+                        rule="DT304",
+                        path=key,
+                        line=line,
+                        col=0,
+                        message=(
+                            f"`repro: {payload}` is an unknown directive; it does "
+                            f"nothing (known: {', '.join(DIRECTIVE_KINDS)})"
+                        ),
                     )
+                )
             elif kind == "entrypoint":
                 if line not in entry_fns:
                     violations.append(

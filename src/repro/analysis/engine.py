@@ -287,7 +287,7 @@ def lint_paths(
     lint suite holds itself to its own determinism rules.
 
     ``interproc=True`` additionally builds the whole-program call graph
-    and runs the DT201-DT204 pass (:mod:`repro.analysis.interproc`) and
+    and runs the DT201-DT202 pass (:mod:`repro.analysis.interproc`) and
     the DT301-DT305 dataflow pass (:mod:`repro.analysis.dataflow`); their
     violations go through the same inline-allow and baseline machinery,
     attributed to the module each one is located in.
@@ -337,8 +337,6 @@ def lint_paths(
         from repro.analysis.interproc import analyze_graph, seed_allow_uses
 
         graph = build_call_graph(parsed)
-        # analyze_graph marks the built-in hot-path registry on the graph;
-        # the dataflow pass reads those marks, so it must run second.
         by_module: Dict[str, List[Violation]] = {}
         for violation in analyze_graph(graph) + analyze_dataflow(graph):
             by_module.setdefault(violation.path, []).append(violation)

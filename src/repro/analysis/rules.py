@@ -56,7 +56,7 @@ Rule catalog (see DESIGN.md §8 for the full rationale):
     LIFO on CPython ≥ 3.7, but which key is last inserted is itself
     history-dependent; decisions must not hang off it.)
 
-Rules DT201-DT204 are the *interprocedural* pass (``lint --interproc``);
+Rules DT201-DT202 are the *interprocedural* pass (``lint --interproc``);
 they live in :mod:`repro.analysis.interproc`.  Rules DT301-DT305 are the
 *flow-sensitive dataflow* pass layered on the same call graph; they live
 in :mod:`repro.analysis.dataflow`.  All are registered here so the
@@ -97,12 +97,10 @@ RULES: Dict[str, str] = {
     "DT107": "order-dependent single-element extraction (next(iter(set)), set.pop(), dict.popitem()) in a decision path",
     "DT201": "nondeterministic source reaches a decision-path function through the call graph",
     "DT202": "unresolved dynamic call inside a decision-path function (annotate with `# repro: calls[...]`)",
-    "DT203": "work exceeding the caller's declared complexity budget (`# repro: budget O(...)`)",
-    "DT204": "hot-path function without a declared complexity budget",
     "DT301": "module/class-level mutable state written on a path reachable from a fork/service entrypoint",
     "DT302": "unpicklable callable (lambda, closure, bound method) crossing the multiprocessing Pool boundary",
     "DT303": "paired mutations of contract-protected state span a may-raise operation, or a broad except swallows ContractError",
-    "DT304": "stale suppression: an allow[...]/calls[...]/budget directive that no longer suppresses or declares anything",
+    "DT304": "stale or unknown directive: an allow[...]/calls[...]/entrypoint[...] that no longer suppresses or declares anything, or a `# repro:` kind that does not exist",
     "DT305": "wall-clock or OS-entropy value compared or added to a simulated-time expression",
 }
 

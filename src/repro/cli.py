@@ -28,7 +28,8 @@ Commands:
   throughput across request mixes × concurrency.
 * ``lint`` — run the determinism lint (:mod:`repro.analysis`) over source
   trees; exits 1 on violations or a stale baseline, 2 on usage errors.
-  ``--interproc`` adds the whole-program taint/budget pass (DT201-DT204);
+  ``--interproc`` adds the whole-program taint and dataflow passes
+  (DT201-DT202, DT301-DT305);
   ``--diff REF`` restricts reporting to files changed versus a git ref.
 * ``callgraph`` — build the interprocedural call graph and export it as
   DOT or JSON for inspection.
@@ -188,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--verbose", action="store_true",
                       help="also list suppressed and baselined violations")
     lint.add_argument("--interproc", action="store_true",
-                      help="also run the whole-program taint/budget/dataflow "
-                           "passes (DT201-DT204, DT301-DT305)")
+                      help="also run the whole-program taint/dynamic-call/dataflow "
+                           "passes (DT201-DT202, DT301-DT305)")
     lint.add_argument("--format", choices=("text", "json"), default="text",
                       help="report format; json emits stable sort-keyed records "
                            "for CI and --diff consumers (default: text)")

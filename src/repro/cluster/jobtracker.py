@@ -22,8 +22,6 @@ from bisect import bisect_left, insort
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Union
 
-from repro.analysis.annotations import hot_path
-
 from repro.cluster.config import ClusterConfig
 from repro.cluster.job import JobInProgress, SubmitterJob
 from repro.cluster.tasks import Task, TaskKind
@@ -251,14 +249,12 @@ class JobTracker:
             if fn is not None:
                 self._hook_listeners[hook].append(fn)
 
-    @hot_path
-    # repro: budget O(1)
     def _notify(self, hook: str, *args) -> None:
         # Listeners are a fixed config-time set (tracer, Oozie, metrics,
         # contract monitor), not a function of the workflow count; the
         # per-hook bound-method lists are built once in add_listener so
         # dispatch does no per-event getattr probing.
-        for fn in self._hook_listeners[hook]:  # repro: allow[DT203]
+        for fn in self._hook_listeners[hook]:
             fn(*args)
 
     # -- cluster introspection ----------------------------------------------
@@ -272,7 +268,6 @@ class JobTracker:
         """Cluster-wide free slots of the given kind."""
         return self._free_maps if kind.uses_map_slot else self._free_reduces
 
-    # repro: budget O(1)
     def running_wjob_count(self) -> int:
         """Unfinished wjobs currently registered (submitter jobs excluded)."""
         return self._wjob_running
@@ -366,7 +361,6 @@ class JobTracker:
                 tick_time, self._heartbeat_tick, tracker
             )
 
-    # repro: budget O(n)
     def _heartbeat_tick(self, tracker: TaskTracker) -> None:
         if not tracker.alive:
             # The chain dies with the tracker; revive_tracker re-arms it.
@@ -394,7 +388,6 @@ class JobTracker:
             sim.now + config.heartbeat_interval, self._heartbeat_tick, tracker
         )
 
-    # repro: budget O(1)
     def _tracker_quiescent(self, tracker: TaskTracker) -> bool:
         """Park test: every slot kind is full or provably unservable."""
         scheduler = self.scheduler
@@ -402,7 +395,6 @@ class JobTracker:
             return False
         return not (tracker.free_reduce_slots > 0 and scheduler.maybe_reduce)
 
-    # repro: budget O(log n)
     def heartbeat(self, tracker: TaskTracker) -> List[Task]:
         """One tracker reports in; fill its free slots from the scheduler.
 
@@ -433,7 +425,6 @@ class JobTracker:
             launched.append(task)
         return launched
 
-    # repro: budget O(n)
     def _heartbeat_batched(self, tracker: TaskTracker) -> List[Task]:
         """Batched form of :meth:`heartbeat`: one ``select_tasks`` round per
         kind fills every free slot of this tracker
@@ -463,8 +454,6 @@ class JobTracker:
                 scheduler.maybe_reduce = False
         return launched
 
-    @hot_path
-    # repro: budget O(n)
     def _wake_parked(self) -> None:
         """Re-arm parked heartbeat timers whose tracker could now be served.
 
@@ -506,7 +495,6 @@ class JobTracker:
                 tick += interval
             hb_handle[tid] = sim.schedule(tick, tick_cb, trackers[tid])
 
-    # repro: budget O(n)
     def notify_plan_installed(self) -> None:
         """A scheduling plan was (re)installed mid-run (replanning path).
 
@@ -517,7 +505,6 @@ class JobTracker:
         if self._parked:
             self._wake_parked()
 
-    # repro: budget O(1)
     def _may_skip_idle(self) -> bool:
         """May a round reuse a proven-idle hint instead of asking again?
 
@@ -533,7 +520,6 @@ class JobTracker:
             and self.scheduler.pure_idle_select
         )
 
-    # repro: budget O(n)
     def schedule_round(self) -> None:
         """Cluster-wide assignment sweep (out-of-band heartbeat path).
 
@@ -605,7 +591,6 @@ class JobTracker:
             if self._parked:
                 self._wake_parked()
 
-    # repro: budget O(n)
     def _round_batched(self) -> None:
         """Batched form of :meth:`schedule_round`: one ``select_tasks``
         round per kind fills every free slot cluster-wide, each launch
@@ -636,7 +621,6 @@ class JobTracker:
             if scheduler.select_tasks(TaskKind.REDUCE, now, free, _launch_reduce) < free:
                 scheduler.maybe_reduce = False
 
-    # repro: budget O(log n)
     def _pick_tracker(self, kind: TaskKind) -> TaskTracker:
         """Round-robin over trackers with a free slot of ``kind``.
 
@@ -657,7 +641,6 @@ class JobTracker:
         self._rr_pointer = (tid + 1) % len(trackers)
         return trackers[tid]
 
-    # repro: budget O(1)
     def _update_free_mask(self, tracker: TaskTracker) -> None:
         """Re-derive one tracker's free-ring bits from its slot state."""
         bit = 1 << tracker.tracker_id
@@ -671,7 +654,6 @@ class JobTracker:
         else:
             self._free_mask_reduce &= ~bit
 
-    # repro: budget O(log n)
     def _launch(self, task: Task, tracker: TaskTracker) -> None:
         sim = self.sim
         now = sim.now
@@ -724,7 +706,6 @@ class JobTracker:
 
     # -- completion ----------------------------------------------------------
 
-    # repro: budget O(n)
     def _complete_task(self, task: Task, tracker: TaskTracker) -> None:
         now = self.sim.now
         kind = task.kind

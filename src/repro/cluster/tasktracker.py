@@ -42,13 +42,11 @@ class TaskTracker:
     def _running_reduces(self) -> int:
         return self.reduce_slots - self.free_reduce_slots
 
-    # repro: budget O(1)
     def free_slots(self, kind: TaskKind) -> int:
         # Identity test instead of the ``uses_map_slot`` enum property:
         # called once per kind per heartbeat/assignment round.
         return self.free_map_slots if kind is not TaskKind.REDUCE else self.free_reduce_slots
 
-    # repro: budget O(1)
     def occupy(self, task: Task) -> None:
         """Place a task into a slot; raises if no slot of its kind is free."""
         if not self.alive:
@@ -64,7 +62,6 @@ class TaskTracker:
         self.running[task] = None
         task.tracker_id = self.tracker_id
 
-    # repro: budget O(1)
     def release(self, task: Task) -> None:
         """Free the slot a finished (or killed) task occupied."""
         self.running.pop(task, None)

@@ -130,7 +130,7 @@ class PlanCache:
         self._commit(key, entry)
         return entry
 
-    def lookup(  # repro: budget O(n)
+    def lookup(
         self,
         workflow: Workflow,
         job_order: Sequence[str],
@@ -155,7 +155,7 @@ class PlanCache:
             self.tracer.incr(self.COUNTER_SCOPE, "hits")
         return entry
 
-    def _commit(self, key: _Key, entry: PlanCacheEntry) -> None:  # repro: budget O(1)
+    def _commit(self, key: _Key, entry: PlanCacheEntry) -> None:
         """Record a completed build: miss accounting, insert, LRU evict."""
         tracer = self.tracer
         entries = self._entries

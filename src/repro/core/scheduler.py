@@ -127,7 +127,6 @@ class _WorkflowRecord:
         self.index = plan.first_index_after(self.deadline, now) if self.planned else 0
 
 
-# repro: budget O(n)
 def _pick_task_in_workflow(record: _WorkflowRecord, kind: TaskKind) -> Optional[Task]:
     """Pick the highest-priority runnable job inside the workflow.
 
@@ -149,7 +148,7 @@ def _pick_task_in_workflow(record: _WorkflowRecord, kind: TaskKind) -> Optional[
     rank_of = record.rank
     default_rank = len(rank_of)
     # Bounded by the job count of ONE workflow (paper's n per-workflow
-    # topology size), not by the queue length n_w the budgets govern.
+    # topology size), not by the queue length n_w.
     if uses_map:
         for name, jip in wip._active_jobs.items():
             if not jip.has_pending_maps:
@@ -224,7 +223,6 @@ class WohaScheduler(WorkflowScheduler):
 
     # -- Algorithm 2 -----------------------------------------------------------
 
-    # repro: budget O(log n)
     def _advance_ct_heads(self, now: float) -> int:
         """Lines 4-19: update every workflow whose requirement changed.
 
@@ -255,7 +253,6 @@ class WohaScheduler(WorkflowScheduler):
             head = queue.head_by_ct()
         return advanced
 
-    # repro: budget O(log n)
     def select_task(self, kind: TaskKind, now: float) -> Optional[Task]:
         self.assign_calls += 1
         advanced = self._advance_ct_heads(now)
@@ -270,7 +267,7 @@ class WohaScheduler(WorkflowScheduler):
                 self._record_decision(kind, now, None, None, [], advanced)
             return None
         record: _WorkflowRecord = head.payload
-        task = _pick_task_in_workflow(record, kind)  # repro: allow[DT203]
+        task = _pick_task_in_workflow(record, kind)
         if task is not None:
             if tracing:
                 self._record_decision(kind, now, record, task, [], advanced)
@@ -282,12 +279,12 @@ class WohaScheduler(WorkflowScheduler):
         # ``skipped`` list doubles as the queue position.
         skipped = [record.wip.name] if tracing else None
         first = True
-        for entry in queue.iter_by_priority():  # repro: allow[DT203]
+        for entry in queue.iter_by_priority():
             if first:  # the head was already probed (and proved empty)
                 first = False
                 continue
             record = entry.payload
-            task = _pick_task_in_workflow(record, kind)  # repro: allow[DT203]
+            task = _pick_task_in_workflow(record, kind)
             if task is not None:
                 if tracing:
                     self._record_decision(kind, now, record, task, skipped, advanced)

@@ -115,7 +115,6 @@ class Simulator:
         """Number of live (not cancelled) events still queued (O(1))."""
         return self._live
 
-    # repro: budget O(log n)
     def schedule(self, time: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
         if time < self._now:
@@ -180,9 +179,7 @@ class Simulator:
         """
         self._stop = True
 
-    # One pass over all n scheduled events, O(log n) heap work per event;
-    # the budget grammar tops out at O(n), which the loop bound matches.
-    # repro: budget O(n)
+    # One pass over all n scheduled events, O(log n) heap work per event.
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Drain the event queue.
 

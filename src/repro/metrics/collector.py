@@ -76,7 +76,6 @@ class MetricsCollector:
 
     # -- JobTracker listener hooks -----------------------------------------
 
-    # repro: budget O(1)
     def on_task_launch(self, task: Task, now: float) -> None:
         # Once per launch on the simulation hot path: identity tests and a
         # direct job attribute read instead of enum/Task property dispatch.
@@ -90,7 +89,6 @@ class MetricsCollector:
             self.first_event = now
         self.last_event = now
 
-    # repro: budget O(1)
     def on_task_complete(self, task: Task, now: float) -> None:
         uses_map = task.kind is not TaskKind.REDUCE
         duration = task.duration
@@ -150,7 +148,6 @@ class MetricsCollector:
         self._reduce_capacity_s = self.config.total_reduce_slots * span
         self._merged = True
 
-    # repro: budget O(n)
     def merge(self, other: "MetricsCollector") -> "MetricsCollector":
         """Fold another run's collector into this one (in place).
 

@@ -86,7 +86,6 @@ class WorkflowScheduler(abc.ABC):
 
     # -- runnability hints (quiescent-heartbeat fast path) -----------------
 
-    # repro: budget O(1)
     def note_state_change(self) -> None:
         """Invalidate idle hints: cluster state changed in a way that could
         make ``select_task`` answer differently (submission, completion,
@@ -123,7 +122,6 @@ class WorkflowScheduler(abc.ABC):
         work-conserving unless they explicitly document otherwise.
         """
 
-    # repro: budget O(n)
     def select_tasks(
         self, kind: TaskKind, now: float, limit: int, launch: Callable[[Task], None]
     ) -> int:

@@ -89,7 +89,6 @@ class FairScheduler(WorkflowScheduler):
             )
         return task
 
-    # repro: budget O(n)
     def select_tasks(
         self, kind: TaskKind, now: float, limit: int, launch: Callable[[Task], None]
     ) -> int:

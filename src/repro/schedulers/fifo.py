@@ -37,7 +37,6 @@ class FifoScheduler(WorkflowScheduler):
         except ValueError:
             pass
 
-    # repro: budget O(n)
     def select_task(self, kind: TaskKind, now: float) -> Optional[Task]:
         tracing = self.tracer.enabled
         queue = self._queue
@@ -103,7 +102,6 @@ class FifoScheduler(WorkflowScheduler):
             )
         return None
 
-    # repro: budget O(n)
     def select_tasks(
         self, kind: TaskKind, now: float, limit: int, launch: Callable[[Task], None]
     ) -> int:

@@ -136,7 +136,7 @@ class BatchingPlanner:
         )
         return await future
 
-    def flush_now(self) -> int:  # repro: budget O(n)
+    def flush_now(self) -> int:
         """Drain the pending list in one synchronous batch; returns its size.
 
         The event loop calls this one turn after the first miss parks;
@@ -149,7 +149,7 @@ class BatchingPlanner:
             self._flush(batch)
         return len(batch)
 
-    def _flush(self, batch: List[_PendingRequest]) -> None:  # repro: budget O(n)
+    def _flush(self, batch: List[_PendingRequest]) -> None:
         # Stage 1 — collapse identical fingerprints: one build serves all
         # duplicate requests in the batch (outcome "fused" for the extras).
         by_key: Dict[Tuple[Any, ...], List[_PendingRequest]] = {}

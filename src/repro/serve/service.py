@@ -4,9 +4,11 @@
 serve``: it owns the shared :class:`~repro.core.plancache.PlanCache`, the
 :class:`~repro.serve.batching.BatchingPlanner`, and a
 :class:`~repro.trace.DecisionTracer` that doubles as the per-tenant
-accounting ledger (``tenant:<name>`` counter scopes) and the ``/v1/trace``
-event stream.  :class:`~repro.serve.api.PlanServer` is one transport over
-it; tests and the ``serve`` profile scenario drive it directly.
+accounting ledger (``tenant:<name>`` counter scopes, at most
+:data:`MAX_TENANT_SCOPES` names plus ``tenant:other``) and the
+``/v1/trace`` event stream.  :class:`~repro.serve.api.PlanServer` is one
+transport over it; tests and the ``serve`` profile scenario drive it
+directly.
 
 Admission (§III's deadline guarantee, turned into an API): a workflow is
 *admitted* exactly when the cap search run by
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Set, Tuple, Union
 
 from repro.core.client import ValidationError, ValidationReport, _resolve_prioritizer
 from repro.core.plancache import PlanCache, PlanCacheEntry
@@ -31,7 +33,13 @@ from repro.workflow.model import Workflow, WorkflowValidationError
 from repro.workflow.xmlconfig import parse_workflow_xml
 from repro.workloads.io import workflows_from_json
 
-__all__ = ["PlanningService", "PlanOutcome", "ServiceConfig"]
+__all__ = ["MAX_TENANT_SCOPES", "PlanningService", "PlanOutcome", "ServiceConfig"]
+
+#: Distinct tenant names that get their own counter scope.  Names come from
+#: the client's ``X-Tenant`` header, so without a cap every new name would
+#: add a scope for the life of the process; names first seen after the cap
+#: count under ``tenant:other``.
+MAX_TENANT_SCOPES = 256
 
 
 @dataclass(frozen=True)
@@ -90,6 +98,7 @@ class PlanningService:
         self.batcher = BatchingPlanner(self.cache, tracer=self.tracer)
         self._prioritizer = _resolve_prioritizer(self.config.prioritizer)
         self.requests = 0
+        self._tenant_scopes: Set[str] = set()
 
     # -- request parsing ----------------------------------------------------
 
@@ -153,7 +162,7 @@ class PlanningService:
         )
         self.requests += 1
         request_id = self.requests
-        self.tracer.incr(f"tenant:{tenant}", outcome)
+        self.tracer.incr(f"tenant:{self._tenant_scope(tenant)}", outcome)
         self.tracer.record(
             "plan_served",
             float(request_id),  # request ordinal, not wall time: stays deterministic
@@ -164,6 +173,13 @@ class PlanningService:
             feasible=plan.feasible,
         )
         return PlanOutcome(plan=plan, search=search, outcome=outcome, request_id=request_id)
+
+    def _tenant_scope(self, tenant: str) -> str:
+        """The counter scope name ``tenant`` is accounted under."""
+        scopes = self._tenant_scopes
+        if tenant not in scopes and len(scopes) < MAX_TENANT_SCOPES:
+            scopes.add(tenant)
+        return tenant if tenant in scopes else "other"
 
     async def admit(
         self,

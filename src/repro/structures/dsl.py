@@ -100,7 +100,6 @@ class DoubleSkipList:
 
     # -- basic operations ----------------------------------------------------
 
-    # repro: budget O(log n)
     def insert(self, item_id: Any, ct: float, priority: float, payload: Any = None) -> DoubleEntry:
         """Add a workflow under both orderings."""
         entries = self._entries
@@ -114,7 +113,6 @@ class DoubleSkipList:
             self.contracts.check_dsl(self)
         return entry
 
-    # repro: budget O(log n)
     def remove(self, item_id: Any) -> DoubleEntry:
         """Remove a workflow from both lists (e.g. on completion)."""
         entry = self._entries.pop(item_id)
@@ -130,20 +128,17 @@ class DoubleSkipList:
     def __contains__(self, item_id: Any) -> bool:
         return item_id in self._entries
 
-    # repro: budget O(1)
     def get(self, item_id: Any) -> DoubleEntry:
         """Look an entry up by its id (the O(1) cross-link access)."""
         return self._entries[item_id]
 
     # -- heads ----------------------------------------------------------------
 
-    # repro: budget O(1)
     def head_by_ct(self) -> Optional[DoubleEntry]:
         """The workflow whose progress requirement changes soonest."""
         head = self._ct_list.peek_head()
         return None if head is None else head[1]
 
-    # repro: budget O(1)
     def head_by_priority(self) -> Optional[DoubleEntry]:
         """The workflow with the largest progress lag."""
         head = self._priority_list.peek_head()
@@ -153,11 +148,10 @@ class DoubleSkipList:
         """All workflows, largest lag first (used for work-conserving scans).
 
         Lazy: the generator costs O(1) to create; consumers pay per element
-        drawn.  The only budgeted caller (``WohaScheduler.select_task``)
-        stops at the first runnable workflow — the work-conservation
-        exception justified at its loop.
+        drawn.  ``WohaScheduler.select_task`` stops at the first runnable
+        workflow — Algorithm 2's work-conserving walk.
         """
-        return (entry for _key, entry in self._priority_list.items())  # repro: allow[DT203]
+        return (entry for _key, entry in self._priority_list.items())
 
     def iter_by_ct(self) -> Iterator[DoubleEntry]:
         """All workflows, soonest requirement change first."""
@@ -165,7 +159,6 @@ class DoubleSkipList:
 
     # -- the two update paths of Algorithm 2 ----------------------------------
 
-    # repro: budget O(log n)
     def update_head_ct(self, new_ct: float, new_priority: float) -> DoubleEntry:
         """Reposition the ct-head after its requirement change fired.
 
@@ -197,7 +190,6 @@ class DoubleSkipList:
             self.contracts.check_dsl(self)
         return entry
 
-    # repro: budget O(log n)
     def update_priority(self, item_id: Any, new_priority: float) -> DoubleEntry:
         """Reposition one workflow in the priority list only.
 
@@ -222,7 +214,6 @@ class DoubleSkipList:
             self.contracts.check_dsl(self)
         return entry
 
-    # repro: budget O(log n)
     def update_ct(self, item_id: Any, new_ct: float) -> DoubleEntry:
         """Reposition one workflow in the ct list only (no-op when the ct
         is unchanged)."""

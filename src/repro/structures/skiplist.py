@@ -119,7 +119,6 @@ class DeterministicSkipList(OrderedMap):
 
     # -- OrderedMap API ------------------------------------------------------
 
-    # repro: budget O(log n)
     def insert(self, key: Any, value: Any) -> None:
         if key is None:
             raise TypeError("None is not a valid key")
@@ -159,7 +158,6 @@ class DeterministicSkipList(OrderedMap):
         finally:
             self._grow_if_needed()
 
-    # repro: budget O(log n)
     def delete(self, key: Any) -> Any:
         preds = self._find_preds(key)
         victim = preds[0].right
@@ -169,7 +167,7 @@ class DeterministicSkipList(OrderedMap):
         # Unlink the whole tower.
         tower_top = 0
         # Loop over the tower height, which is O(log n_max), not O(n).
-        for level, pred in enumerate(preds):  # repro: allow[DT203]
+        for level, pred in enumerate(preds):
             if pred.right.key == key:
                 pred.right = pred.right.right
                 tower_top = level
@@ -203,7 +201,7 @@ class DeterministicSkipList(OrderedMap):
         preds: List[_Node] = [None] * len(heads)
         x = heads[-1]
         # Descends one level per iteration: O(log n_max) iterations.
-        for level in range(len(heads) - 1, -1, -1):  # repro: allow[DT203]
+        for level in range(len(heads) - 1, -1, -1):
             right = x.right
             while right.key < key:
                 x = right
@@ -218,14 +216,12 @@ class DeterministicSkipList(OrderedMap):
         while len(self._heads) > 1 and self._heads[-1].right is self._tail and self._heads[-2].right is self._tail:
             self._heads.pop()
 
-    # repro: budget O(1)
     def peek_head(self) -> Optional[Tuple[Any, Any]]:
         first = self._heads[0].right
         if first is self._tail:
             return None
         return first.key, first.value
 
-    # repro: budget O(log n)
     def pop_head(self) -> Tuple[Any, Any]:
         heads = self._heads
         first = heads[0].right
@@ -235,7 +231,7 @@ class DeterministicSkipList(OrderedMap):
         # The head tower is head.right at every level it reaches; its left
         # gaps are all empty, so unlinking cannot oversize anything.  One
         # step per level: O(log n_max) iterations.
-        for head in heads:  # repro: allow[DT203]
+        for head in heads:
             if head.right.key == key:
                 head.right = head.right.right
             else:
@@ -244,12 +240,11 @@ class DeterministicSkipList(OrderedMap):
         self._shrink()
         return key, value
 
-    # repro: budget O(log n)
     def find(self, key: Any) -> Any:
         heads = self._heads
         x = heads[-1]
         # Descends one level per iteration: O(log n_max) iterations.
-        for level in range(len(heads) - 1, -1, -1):  # repro: allow[DT203]
+        for level in range(len(heads) - 1, -1, -1):
             right = x.right
             while right.key < key:
                 x = right

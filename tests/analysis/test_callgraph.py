@@ -2,12 +2,7 @@
 
 import ast
 
-from repro.analysis.callgraph import (
-    BUDGET_GRAMMAR,
-    build_call_graph,
-    build_call_graph_from_paths,
-    parse_budget,
-)
+from repro.analysis.callgraph import build_call_graph, build_call_graph_from_paths
 
 
 def graph_of(modules):
@@ -117,29 +112,6 @@ def test_nested_def_is_a_graph_node_with_dotted_name():
 # -- comment annotations ------------------------------------------------------
 
 
-def test_budget_comment_grammar():
-    assert parse_budget("# repro: budget O(1)") == "O(1)"
-    assert parse_budget("# repro: budget O(log n)") == "O(log n)"
-    assert parse_budget("# repro: budget O(n)") == "O(n)"
-    assert parse_budget("# repro: budget O(n log n)") is None
-    assert parse_budget("just a comment") is None
-    assert BUDGET_GRAMMAR == ("O(1)", "O(log n)", "O(n)")
-
-
-def test_budget_attaches_on_def_line_or_line_above():
-    graph = graph_of({
-        "m.py": (
-            "# repro: budget O(log n)\n"
-            "def above():\n    return 1\n\n"
-            "def inline():  # repro: budget O(1)\n    return 2\n\n"
-            "def bare():\n    return 3\n"
-        ),
-    })
-    assert graph.functions["m.py::above"].budget == "O(log n)"
-    assert graph.functions["m.py::inline"].budget == "O(1)"
-    assert graph.functions["m.py::bare"].budget is None
-
-
 def test_calls_annotation_adds_edges_and_marks_dynamic_resolved():
     graph = graph_of({
         "m.py": (
@@ -167,15 +139,14 @@ def test_calls_annotation_with_no_resolving_target_stays_dynamic():
 def test_decorator_marks_recognised_syntactically():
     graph = graph_of({
         "m.py": (
-            "from repro.analysis.annotations import decision_path, hot_path\n\n"
+            "from repro.analysis.annotations import decision_path\n\n"
             "@decision_path\n"
             "def a():\n    return 1\n\n"
-            "@hot_path\n"
             "def b():\n    return 2\n"
         ),
     })
     assert graph.functions["m.py::a"].decision_path
-    assert graph.functions["m.py::b"].hot_path
+    assert not graph.functions["m.py::b"].decision_path
 
 
 # -- queries and exports ------------------------------------------------------
@@ -199,8 +170,9 @@ def test_json_and_dot_exports_are_deterministic():
     modules = {
         "pkg/a.py": "def helper():\n    return 1\n",
         "pkg/b.py": (
+            "from repro.analysis.annotations import decision_path\n"
             "from pkg.a import helper\n\n"
-            "# repro: budget O(1)\n"
+            "@decision_path\n"
             "def top():\n    return helper()\n"
         ),
     }
@@ -212,7 +184,7 @@ def test_json_and_dot_exports_are_deterministic():
     dot = first.to_dot()
     assert dot.startswith("digraph callgraph {")
     assert '"pkg/b.py::top" -> "pkg/a.py::helper"' in dot
-    assert "O(1)" in dot  # budgets surface as labels
+    assert '"pkg/b.py::top" [label="pkg/b.py::top", shape=box]' in dot
 
 
 def test_build_from_paths_walks_directories(tmp_path):

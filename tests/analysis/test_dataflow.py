@@ -10,12 +10,13 @@ from repro.analysis.annotations import ENTRYPOINT_REGISTRY
 from repro.analysis.callgraph import build_call_graph
 from repro.analysis.dataflow import (
     DATAFLOW_RULES,
+    DIRECTIVE_KINDS,
+    HOT_PATH_REGISTRY,
     analyze_dataflow,
     compute_summaries,
     directive_comments,
     stale_suppression_violations,
 )
-from repro.analysis.interproc import HOT_PATH_REGISTRY
 
 FIXTURES = Path(__file__).parent / "fixtures" / "dataflow"
 
@@ -308,10 +309,9 @@ def test_dt303_quiet_outside_decision_or_hot_paths():
 def test_dt303_covers_registry_hot_functions_outside_decision_paths(
     tmp_path, key, qualname
 ):
-    """The interproc pass marks the built-in hot-path registry on the
-    graph before the dataflow pass reads it, so a registry function in a
-    non-decision package gets DT303 with no marker comment; an unlisted
-    sibling with the same body does not."""
+    """A function named by the hot-path registry gets DT303 in a
+    non-decision package with no marker comment; an unlisted sibling with
+    the same body does not."""
     cls, method = qualname.split(".")
     assert qualname in HOT_PATH_REGISTRY[key]
     body = (
@@ -388,13 +388,11 @@ def test_directive_comments_come_from_real_comments_only():
         '"""Docstring mentioning # repro: allow[DT101] is invisible."""\n'
         "# a `# repro: calls[target]` directive used to live here\n"
         "x = 1  # repro: allow[DT102, DT103]\n"
-        "# repro: budget O(log n)\n"
+        "# repro: decision-path\n"
+        "# repro: randomness-ok\n"
         "def f(q):\n    return q\n"
     )
-    assert found == [
-        (3, "allow", "DT102, DT103"),
-        (4, "budget", "O(log n)"),
-    ]
+    assert found == [(3, "allow", "DT102, DT103")]
 
 
 def test_stale_calls_budget_and_entrypoint_directives_flagged():
@@ -409,16 +407,79 @@ def test_stale_calls_budget_and_entrypoint_directives_flagged():
     })
     messages = [v.message for v in stale_suppression_violations(graph, {})]
     assert len(messages) == 3
-    assert any("budget O(1)" in m for m in messages)
+    assert any(
+        "repro: budget" in m and "unknown directive; it does nothing" in m
+        for m in messages
+    )
     assert any("calls[nowhere]" in m for m in messages)
     assert any("entrypoint[fork]" in m for m in messages)
+
+
+def test_misspelled_directive_flagged_as_unknown():
+    graph = graph_of({
+        "m.py": (
+            "# repro: entrypiont[fork]\n"
+            "def work(x):\n    return x\n\n"
+            "def plain(q):  # repro: decison-path\n    return q\n"
+        ),
+    })
+    hits = stale_suppression_violations(graph, {})
+    assert [(v.rule, v.line) for v in hits] == [("DT304", 1), ("DT304", 5)]
+    assert "`repro: entrypiont` is an unknown directive" in hits[0].message
+    assert "`repro: decison-path` is an unknown directive" in hits[1].message
+    assert directive_comments("# repro: entrypiont[fork]\n") == [
+        (1, "unknown", "entrypiont")
+    ]
+
+
+#: One well-formed comment per directive kind the analyzer reads.
+KNOWN_DIRECTIVES = {
+    "allow": "x = 1  # repro: allow[DT101]\n",
+    "calls": "x = 1  # repro: calls[target]\n",
+    "entrypoint": "# repro: entrypoint[fork]\n",
+    "decision-path": "# repro: decision-path\n",
+    "randomness-ok": "# repro: randomness-ok\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KNOWN_DIRECTIVES))
+def test_known_directive_kinds_are_never_unknown(kind):
+    assert set(KNOWN_DIRECTIVES) == set(DIRECTIVE_KINDS)
+    found = directive_comments(KNOWN_DIRECTIVES[kind])
+    assert all(k != "unknown" for _, k, _ in found)
+
+
+@pytest.mark.parametrize(
+    "directive", ["# repro: hot-path", "# repro: budget O(log n)"]
+)
+def test_retired_directives_fail_the_interproc_lint(tmp_path, directive):
+    (tmp_path / "m.py").write_text(
+        "import heapq\n\n"
+        f"{directive}\n"
+        "def pop(heap):\n"
+        "    return heapq.heappop(heap)\n"
+    )
+    report = lint_paths([tmp_path], interproc=True)
+    (hit,) = report.violations
+    assert (hit.rule, hit.line) == ("DT304", 3)
+    assert "unknown directive; it does nothing" in hit.message
+
+
+def test_prose_naming_a_retired_directive_is_not_flagged():
+    source = (
+        '"""Once marked with # repro: hot-path."""\n'
+        "# the old `# repro: budget O(1)` comments are gone\n"
+        "# see repro: hot-path in the changelog\n"
+        "def f(q):\n    return q\n"
+    )
+    assert directive_comments(source) == []
+    assert stale_suppression_violations(graph_of({"m.py": source}), {}) == []
 
 
 def test_used_directives_are_not_stale():
     graph = graph_of({
         "repro/core/x.py": (
             "def target(x):\n    return x\n\n"
-            "# repro: budget O(1)\n"
             "def decide(fn, x):\n"
             "    return fn(x)  # repro: calls[target]\n"
         ),

@@ -54,25 +54,29 @@ def test_allow_on_decorator_line_does_not_cover_the_def(tmp_path):
     # line neither silences the def-line violation nor counts as used —
     # DT304 reports it stale in the same run.
     (tmp_path / "m.py").write_text(
-        "from repro.analysis.annotations import hot_path\n\n"
-        "@hot_path  # repro: allow[DT204]\n"
-        "def pick(q):\n"
-        "    return q\n"
+        "# repro: decision-path\n"
+        "import functools\n\n"
+        "@functools.total_ordering  # repro: allow[DT106]\n"
+        "class Key:\n"
+        "    def __eq__(self, other):\n"
+        "        return True\n"
     )
     report = lint_paths([tmp_path], interproc=True)
-    assert sorted(v.rule for v in report.violations) == ["DT204", "DT304"]
+    assert sorted(v.rule for v in report.violations) == ["DT106", "DT304"]
 
 
 def test_allow_on_the_def_line_covers_a_decorated_def(tmp_path):
     (tmp_path / "m.py").write_text(
-        "from repro.analysis.annotations import hot_path\n\n"
-        "@hot_path\n"
-        "def pick(q):  # repro: allow[DT204]\n"
-        "    return q\n"
+        "# repro: decision-path\n"
+        "import functools\n\n"
+        "@functools.total_ordering\n"
+        "class Key:  # repro: allow[DT106]\n"
+        "    def __eq__(self, other):\n"
+        "        return True\n"
     )
     report = lint_paths([tmp_path], interproc=True)
     assert report.clean
-    assert [v.rule for v in report.suppressed] == ["DT204"]
+    assert [v.rule for v in report.suppressed] == ["DT106"]
 
 
 # -- baselines ----------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""The DT201-DT204 whole-program pass: fixtures, chains, suppressions."""
+"""The DT201-DT202 whole-program pass: fixtures, chains, suppressions."""
 
 import ast
 from pathlib import Path
 
 from repro.analysis import lint_paths
 from repro.analysis.callgraph import build_call_graph
-from repro.analysis.interproc import HOT_PATH_REGISTRY, INTERPROC_RULES, analyze_graph
+from repro.analysis.interproc import INTERPROC_RULES, analyze_graph
 
 FIXTURES = Path(__file__).parent / "fixtures" / "interproc"
 
@@ -40,8 +40,6 @@ def test_corpus_findings_are_where_the_fixtures_say():
         by_rule.setdefault(v.rule, []).append(v)
     assert {v.path for v in by_rule["DT201"]} == {"ip_sink.py", "ip_annotated_sink.py"}
     assert [v.path for v in by_rule["DT202"]] == ["ip_dynamic.py"]
-    assert [v.path for v in by_rule["DT203"]] == ["ip_budget.py"]
-    assert [v.path for v in by_rule["DT204"]] == ["ip_hot.py"]
 
 
 def test_dt201_message_carries_chain_and_source_location():
@@ -125,121 +123,6 @@ def test_calls_annotation_silences_dt202_when_a_target_resolves():
     assert [v for v in violations if v.rule == "DT202"] == []
 
 
-# -- DT203/DT204: budgets -----------------------------------------------------
-
-
-def test_regression_linear_loop_injected_into_log_budget_flagged_with_chain():
-    # The ISSUE's acceptance regression: an O(n) scan smuggled into a
-    # helper below an O(log n)-budgeted entry point must be flagged at the
-    # loop with the full chain from the budgeted root.
-    violations = analyze({
-        "repro/structures/q.py": (
-            "def _rebalance(nodes):\n"
-            "    for node in nodes:\n"
-            "        node.touch()\n\n"
-            "# repro: budget O(log n)\n"
-            "def insert(tree, nodes, key):\n"
-            "    _rebalance(nodes)\n"
-            "    return key\n"
-        ),
-    })
-    (hit,) = [v for v in violations if v.rule == "DT203"]
-    assert hit.line == 2  # the loop, not the budgeted def
-    assert "chain: repro/structures/q.py::insert -> repro/structures/q.py::_rebalance" in hit.message
-    assert "budget O(log n)" in hit.message
-
-
-def test_call_into_higher_budget_function_flagged_at_the_call():
-    violations = analyze({
-        "m.py": (
-            "# repro: budget O(n)\n"
-            "def scan(xs):\n"
-            "    return sum(xs)\n\n"
-            "# repro: budget O(1)\n"
-            "def peek(xs):\n"
-            "    return scan(xs)\n"
-        ),
-    })
-    (hit,) = [v for v in violations if v.rule == "DT203"]
-    assert hit.line == 7
-    assert "declared O(n)" in hit.message and "budget O(1)" in hit.message
-
-
-def test_declared_callee_within_budget_is_a_boundary():
-    # An O(n) site inside an O(n)-budgeted callee is that budget's
-    # business; the O(n) caller must not be charged for it.
-    violations = analyze({
-        "m.py": (
-            "# repro: budget O(n)\n"
-            "def scan(xs):\n"
-            "    return sum(xs)\n\n"
-            "# repro: budget O(n)\n"
-            "def outer(xs):\n"
-            "    return scan(xs)\n"
-        ),
-    })
-    assert [v for v in violations if v.rule == "DT203"] == []
-
-
-def test_bounded_iterables_and_while_loops_exempt():
-    violations = analyze({
-        "m.py": (
-            "# repro: budget O(1)\n"
-            "def f(flag, node):\n"
-            "    for kind in ('map', 'reduce'):\n"
-            "        flag = not flag\n"
-            "    while node.down is not None:\n"
-            "        node = node.down\n"
-            "    return node\n"
-        ),
-    })
-    assert [v for v in violations if v.rule == "DT203"] == []
-
-
-def test_ambiguous_cha_edges_excluded_from_budget_arithmetic():
-    violations = analyze({
-        "m.py": (
-            "class A:\n"
-            "    def step(self, xs):\n"
-            "        return sum(xs)\n"
-            "class B:\n"
-            "    def step(self, xs):\n"
-            "        return 0\n\n"
-            "# repro: budget O(1)\n"
-            "def run(obj, xs):\n"
-            "    return obj.step(xs)\n"
-        ),
-    })
-    assert [v for v in violations if v.rule == "DT203"] == []
-
-
-def test_dt204_fires_for_decorator_comment_and_builtin_registry():
-    violations = analyze({
-        "m.py": (
-            "from repro.analysis.annotations import hot_path\n\n"
-            "@hot_path\n"
-            "def undeclared(q):\n    return q\n\n"
-            "# repro: hot-path\n"
-            "def marked(q):\n    return q\n\n"
-            "# repro: hot-path\n"
-            "# repro: budget O(1)\n"
-            "def declared(q):\n    return q\n"
-        ),
-        "repro/structures/dsl.py": (
-            "class DoubleSkipList:\n"
-            "    def insert(self, item):\n"
-            "        return item\n"
-        ),
-    })
-    hits = {v.path: v for v in violations if v.rule == "DT204"}
-    assert {v.message.split()[2] for v in violations if v.rule == "DT204" and v.path == "m.py"} == {
-        "undeclared", "marked",
-    }
-    # The built-in registry binds even without any marker comment.
-    assert "repro/structures/dsl.py" in hits
-    assert "DoubleSkipList.insert" in HOT_PATH_REGISTRY["repro/structures/dsl.py"]
-
-
 # -- engine integration -------------------------------------------------------
 
 
@@ -264,8 +147,6 @@ def test_baseline_budgets_interproc_violations(tmp_path):
         "ip_annotated_sink.py:DT201:1\n"
         "ip_sink.py:DT201:1\n"
         "ip_dynamic.py:DT202:1\n"
-        "ip_budget.py:DT203:1\n"
-        "ip_hot.py:DT204:1\n"
     )
     report = lint_paths([FIXTURES], baseline_path=baseline, interproc=True)
     assert report.clean

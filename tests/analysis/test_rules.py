@@ -7,6 +7,7 @@ hit.  ``repro lint`` must exit non-zero on each violating fixture.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -33,8 +34,6 @@ RULE_FIXTURES = {
 INTERPROC_FIXTURES = {
     "DT201": "interproc/ip_sink.py",
     "DT202": "interproc/ip_dynamic.py",
-    "DT203": "interproc/ip_budget.py",
-    "DT204": "interproc/ip_hot.py",
 }
 
 #: The dataflow rules' fixtures live in ``fixtures/dataflow/`` and are
@@ -89,6 +88,12 @@ def test_interproc_json_report_names_the_rule_on_its_fixture(rule_id, capsys):
     assert payload["clean"] is False
     modules = {r["module"] for r in payload["violations"] if r["rule"] == rule_id}
     assert fixture.name in modules
+
+
+def test_readme_rule_table_matches_the_catalog():
+    readme = (Path(__file__).resolve().parents[2] / "README.md").read_text()
+    documented = set(re.findall(r"^\| (DT\d{3}) \|", readme, flags=re.MULTILINE))
+    assert documented == set(RULES)
 
 
 def test_clean_fixture_passes():

@@ -86,15 +86,15 @@ def reference_select_task(self: WohaScheduler, kind: TaskKind, now: float) -> Op
             return None
         # Per-workflow scan is bounded by the workflow's job count — the
         # same §IV-B work-conservation exception the traced path claims.
-        task = _pick_task_in_workflow(head.payload, kind)  # repro: allow[DT203]
+        task = _pick_task_in_workflow(head.payload, kind)
         if task is not None:
             return task
         first = True
-        for entry in queue.iter_by_priority():  # repro: allow[DT203]
+        for entry in queue.iter_by_priority():
             if first:  # the head was already probed (and proved empty)
                 first = False
                 continue
-            task = _pick_task_in_workflow(entry.payload, kind)  # repro: allow[DT203]
+            task = _pick_task_in_workflow(entry.payload, kind)
             if task is not None:
                 return task
         return None
@@ -104,9 +104,9 @@ def reference_select_task(self: WohaScheduler, kind: TaskKind, now: float) -> Op
     # path (the priority head is runnable); it only walks past a prefix
     # of workflows with no runnable task of this kind — the §IV-B
     # work-conservation exception to the O(log n_w) claim.
-    for position, entry in enumerate(queue.iter_by_priority()):  # repro: allow[DT203]
+    for position, entry in enumerate(queue.iter_by_priority()):
         record: _WorkflowRecord = entry.payload
-        task = _pick_task_in_workflow(record, kind)  # repro: allow[DT203]
+        task = _pick_task_in_workflow(record, kind)
         if task is not None:
             if tracing:
                 self.tracer.incr(self.name, "decisions")

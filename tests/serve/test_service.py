@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.core.client import ValidationError
-from repro.serve.service import PlanningService, ServiceConfig
+from repro.serve.service import MAX_TENANT_SCOPES, PlanningService, ServiceConfig
 from repro.workflow.builder import WorkflowBuilder
 from repro.workflow.xmlconfig import workflow_to_xml
 from repro.workloads.io import workflows_to_json
@@ -99,6 +99,39 @@ class TestPlanAndAdmit:
         assert stats["tenants"]["bob"] == {"hit": 2}
         assert stats["requests"] == 3
         assert stats["plan_cache"]["hits"] == 2
+
+    def test_tenant_scopes_are_capped(self):
+        service = PlanningService(ServiceConfig(total_slots=24))
+        w = diamond()
+
+        async def go():
+            for i in range(300):
+                await service.plan(w, tenant=f"t{i:03d}")
+
+        asyncio.run(go())
+        stats = service.stats()
+        tenants = stats["tenants"]
+        assert len(tenants) == MAX_TENANT_SCOPES + 1 == 257
+        assert "t000" in tenants and "t299" not in tenants
+        assert tenants["other"] == {"hit": 300 - MAX_TENANT_SCOPES}
+        served = sum(n for table in tenants.values() for n in table.values())
+        assert served == stats["requests"] == 300
+
+    def test_tenant_seen_before_the_cap_keeps_its_scope(self):
+        service = PlanningService(ServiceConfig(total_slots=24))
+        w = diamond()
+
+        async def go():
+            for i in range(MAX_TENANT_SCOPES + 5):
+                await service.plan(w, tenant=f"t{i:03d}")
+            await service.plan(w, tenant="t000")
+            await service.plan(w, tenant="late")
+
+        asyncio.run(go())
+        tenants = service.stats()["tenants"]
+        assert tenants["t000"] == {"miss": 1, "hit": 1}
+        assert "late" not in tenants
+        assert tenants["other"] == {"hit": 6}
 
     def test_admission_verdict_is_the_feasibility_bit(self):
         service = PlanningService(ServiceConfig(total_slots=24))

@@ -141,7 +141,7 @@ class TestLintCommand:
         out = capsys.readouterr().out
         assert [line.split()[0] for line in out.splitlines()] == [
             "DT101", "DT102", "DT103", "DT104", "DT105", "DT106", "DT107",
-            "DT201", "DT202", "DT203", "DT204",
+            "DT201", "DT202",
             "DT301", "DT302", "DT303", "DT304", "DT305",
         ]
 
