@@ -18,6 +18,7 @@ import bisect
 import struct
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["ProgressEntry", "ProgressPlan"]
@@ -132,7 +133,16 @@ class ProgressPlan:
         Plan batches are highly regular (same-duration waves), so the
         records compress several-fold; Fig 13b plots
         ``len(plan.to_bytes())``.
+
+        The bytes are computed on the first call and returned as the same
+        object afterwards: the plan is frozen, so they cannot go stale.
         """
+        return self._wire_bytes
+
+    @cached_property
+    def _wire_bytes(self) -> bytes:
+        # Lives in the instance ``__dict__``, outside the dataclass fields,
+        # so eq/hash/repr ignore it and ``dataclasses.replace`` starts fresh.
         if self.resource_cap >= self._INFEASIBLE_BIT:
             raise ValueError(f"resource cap {self.resource_cap} too large to serialise")
         cap_field = self.resource_cap | (0 if self.feasible else self._INFEASIBLE_BIT)

@@ -12,7 +12,8 @@ Routes:
     Liveness: ``{"ok": true}``.
 ``POST /v1/plan``
     Body: workflow XML (default) or a single-workflow JSON document
-    (``Content-Type: application/json``).  Response: the serialized
+    (any ``Content-Type`` whose media type contains ``json``, in any
+    case).  Response: the serialized
     :class:`~repro.core.progress.ProgressPlan` wire bytes
     (``application/octet-stream``, feasibility bit included) with headers
     ``X-Plan-Cap``, ``X-Plan-Feasible``, ``X-Plan-Makespan``,
@@ -26,7 +27,7 @@ Routes:
     ``X-Trace-Next`` carries the cursor for the next poll.
 ``GET /v1/stats``
     JSON snapshot: request count, cache counters, batch counters,
-    per-tenant outcome counts.
+    parse-memo size and hits, per-tenant outcome counts.
 
 Rejections use status 400 with the structured
 :meth:`~repro.core.client.ValidationReport.to_payload` body, so clients

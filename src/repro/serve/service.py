@@ -15,11 +15,22 @@ Admission (§III's deadline guarantee, turned into an API): a workflow is
 :meth:`~repro.core.client.WohaClient.generate_plan` would mark its plan
 feasible — same pipeline, same cache, so the verdict can never disagree
 with the plan a tenant later fetches.
+
+The hit path: workflows are overwhelmingly recurrent (paper §III, Fig 12),
+so most requests resend a body the service has seen.  Its two pure steps
+are memoized.  :meth:`PlanningService.parse_workflow` keeps an LRU of
+parsed bodies keyed by (format, body digest), bounded by
+``cache_capacity``, that admits a body on its second sighting, and
+:meth:`~repro.core.progress.ProgressPlan.to_bytes` computes a plan's wire
+bytes once per plan.  Both are still called on every request; only the
+repeated work is gone.  ``/v1/stats`` reports the memo as ``parse_memo``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set, Tuple, Union
 
@@ -40,6 +51,34 @@ __all__ = ["MAX_TENANT_SCOPES", "PlanningService", "PlanOutcome", "ServiceConfig
 #: add a scope for the life of the process; names first seen after the cap
 #: count under ``tenant:other``.
 MAX_TENANT_SCOPES = 256
+
+
+def _parse_body(body: bytes, as_json: bool) -> Workflow:
+    """Decode and validate one request body; raises ValidationError."""
+    try:
+        text = body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            ValidationReport((), (), errors=(f"undecodable request body: {exc}",))
+        ) from exc
+    if as_json:
+        try:
+            workflows = workflows_from_json(text)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValidationError(
+                ValidationReport((), (), errors=(f"bad workflow JSON: {exc}",))
+            ) from exc
+        if len(workflows) != 1:
+            raise ValidationError(
+                ValidationReport(
+                    (), (), errors=(f"expected exactly 1 workflow, got {len(workflows)}",)
+                )
+            )
+        return workflows[0]
+    try:
+        return parse_workflow_xml(text)
+    except WorkflowValidationError as exc:
+        raise ValidationError(ValidationReport((), (), errors=(str(exc),))) from exc
 
 
 @dataclass(frozen=True)
@@ -99,6 +138,10 @@ class PlanningService:
         self._prioritizer = _resolve_prioritizer(self.config.prioritizer)
         self.requests = 0
         self._tenant_scopes: Set[str] = set()
+        #: (is JSON, body digest) -> parsed workflow, or ``None`` for a body
+        #: seen once; see :meth:`parse_workflow`.
+        self._parse_memo: "OrderedDict[Tuple[bool, bytes], Optional[Workflow]]" = OrderedDict()
+        self.parse_memo_hits = 0
 
     # -- request parsing ----------------------------------------------------
 
@@ -110,33 +153,34 @@ class PlanningService:
         (:mod:`repro.workloads.io`), the format the sweep corpus and the
         load generator already speak.
 
+        Parsing is a pure function of the body bytes and the format, and
+        :class:`~repro.workflow.model.Workflow` is immutable, so the
+        result is memoized under ``(format, blake2b-128 of the body)``.
+        A body is retained only when it is seen again: the first
+        successful parse leaves a ``None`` placeholder, the second stores
+        the workflow, later ones return it.  Failures are never recorded.
+        The memo is an LRU of at most ``cache_capacity`` keys.
+
         Raises:
             ValidationError: malformed body; ``.report.errors`` says why.
         """
-        try:
-            text = body.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValidationError(
-                ValidationReport((), (), errors=(f"undecodable request body: {exc}",))
-            ) from exc
-        if "json" in content_type:
-            try:
-                workflows = workflows_from_json(text)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValidationError(
-                    ValidationReport((), (), errors=(f"bad workflow JSON: {exc}",))
-                ) from exc
-            if len(workflows) != 1:
-                raise ValidationError(
-                    ValidationReport(
-                        (), (), errors=(f"expected exactly 1 workflow, got {len(workflows)}",)
-                    )
-                )
-            return workflows[0]
-        try:
-            return parse_workflow_xml(text)
-        except WorkflowValidationError as exc:
-            raise ValidationError(ValidationReport((), (), errors=(str(exc),))) from exc
+        # Media types compare case-insensitively (RFC 9110 §8.3.1); the
+        # memo key takes the same decision as the parser.
+        as_json = "json" in content_type.partition(";")[0].lower()
+        key = (as_json, hashlib.blake2b(body, digest_size=16).digest())
+        memo = self._parse_memo
+        seen = key in memo
+        if seen:
+            memo.move_to_end(key)
+            workflow = memo[key]
+            if workflow is not None:
+                self.parse_memo_hits += 1
+                return workflow
+        workflow = _parse_body(body, as_json)
+        memo[key] = workflow if seen else None
+        if len(memo) > self.config.cache_capacity:
+            memo.popitem(last=False)
+        return workflow
 
     # -- operations ---------------------------------------------------------
 
@@ -233,6 +277,7 @@ class PlanningService:
                 **self.cache.counter_table()[PlanCache.COUNTER_SCOPE],
             },
             "batch": dict(self.batcher.counter_table()[BatchingPlanner.COUNTER_SCOPE]),
+            "parse_memo": {"size": len(self._parse_memo), "hits": self.parse_memo_hits},
             "tenants": tenants,
         }
 

@@ -74,7 +74,7 @@ def workflows_to_json(workflows: Sequence[Workflow]) -> str:
 def workflows_from_json(text: str) -> List[Workflow]:
     """Parse a workflow-set document (validates structure on load)."""
     doc = json.loads(text)
-    if doc.get("format") != "repro-workflows":
+    if not isinstance(doc, dict) or doc.get("format") != "repro-workflows":
         raise ValueError("not a repro workflow-set document")
     if doc.get("version") != _FORMAT_VERSION:
         raise ValueError(f"unsupported workflow-set version {doc.get('version')!r}")

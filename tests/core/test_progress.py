@@ -1,5 +1,8 @@
 """Unit tests for ProgressPlan / ProgressEntry (the F_i structure)."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,6 +160,42 @@ class TestSerialization:
         plan = make_plan(entries, total=n, feasible=feasible, cap=n)
         clone = ProgressPlan.from_bytes(plan.to_bytes())
         assert clone == plan
+
+
+class TestWireBytesMemo:
+    def test_repeated_calls_return_the_same_object(self):
+        plan = make_plan([(60.0, 4), (30.0, 10), (6.0, 15)])
+        first = plan.to_bytes()
+        assert plan.to_bytes() is first
+        assert plan.size_bytes == len(first)
+
+    def test_replace_does_not_carry_stale_bytes(self):
+        plan = make_plan([(60.0, 4), (30.0, 10), (6.0, 15)])
+        feasible_bytes = plan.to_bytes()
+        demoted = dataclasses.replace(plan, feasible=False)
+        assert demoted.to_bytes() != feasible_bytes
+        assert ProgressPlan.from_bytes(demoted.to_bytes()).feasible is False
+        assert ProgressPlan.from_bytes(plan.to_bytes()).feasible is True
+
+    def test_memo_is_invisible_to_the_dataclass(self):
+        plan = make_plan([(60.0, 4), (30.0, 10), (6.0, 15)], job_order=("x", "y"), cap=7)
+        twin = make_plan([(60.0, 4), (30.0, 10), (6.0, 15)], job_order=("x", "y"), cap=7)
+        names, text, digest = (
+            [f.name for f in dataclasses.fields(plan)], repr(plan), hash(plan)
+        )
+        wire = plan.to_bytes()
+        assert [f.name for f in dataclasses.fields(plan)] == names
+        assert repr(plan) == text and hash(plan) == digest
+        assert plan == twin and hash(twin) == digest
+        clone = pickle.loads(pickle.dumps(plan))
+        assert clone == plan and repr(clone) == text and hash(clone) == digest
+        assert clone.to_bytes() == wire
+
+    def test_failed_serialisation_is_not_memoized(self):
+        plan = make_plan([(10.0, 3)], cap=0x8000_0000, total=3)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="too large"):
+                plan.to_bytes()
 
 
 @given(

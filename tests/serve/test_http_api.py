@@ -144,6 +144,43 @@ class TestRoutes:
 
         serve(check)
 
+    def test_non_object_json_is_a_400(self):
+        async def check(port, _service):
+            responses = await roundtrip(
+                port,
+                raw_request("POST", "/v1/plan", b"[]", content_type="application/json"),
+                raw_request("POST", "/v1/admit", b"null", content_type="application/json"),
+            )
+            for status, _h, body in responses:
+                assert status == 400
+                payload = json.loads(body)
+                assert payload["ok"] is False
+                assert "not a repro workflow-set document" in payload["errors"][0]
+
+        serve(check)
+
+    def test_mixed_case_json_media_type_is_parsed_as_json(self):
+        body = build_request(diamond(), "t").split(b"\r\n\r\n", 1)[1]
+
+        async def check(port, _service):
+            [(status, headers, _b)] = await roundtrip(
+                port, raw_request("POST", "/v1/plan", body, content_type="Application/JSON")
+            )
+            assert status == 200 and headers["x-plan-outcome"] == "miss"
+
+        serve(check)
+
+    def test_memoized_parse_serves_identical_plan_bytes(self):
+        async def check(port, _service):
+            request = build_request(diamond(), "t")
+            responses = await roundtrip(port, request, request, request)
+            assert [h["x-plan-outcome"] for _s, h, _b in responses] == ["miss", "hit", "hit"]
+            assert len({body for _s, _h, body in responses}) == 1
+            [(_s, _h, body)] = await roundtrip(port, raw_request("GET", "/v1/stats"))
+            assert json.loads(body)["parse_memo"] == {"size": 1, "hits": 1}
+
+        serve(check)
+
     def test_trace_paging_over_http(self):
         w = diamond()
 

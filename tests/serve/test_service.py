@@ -1,7 +1,9 @@
 """Tests for the transport-independent PlanningService core."""
 
 import asyncio
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -81,6 +83,94 @@ class TestParseWorkflow:
         service = PlanningService()
         with pytest.raises(ValidationError, match="bad workflow JSON"):
             service.parse_workflow(b'{"format": "nope"}', "application/json")
+
+    @pytest.mark.parametrize("body", [b"[]", b"null", b"3"])
+    def test_non_object_json_is_a_validation_error(self, body):
+        service = PlanningService()
+        with pytest.raises(ValidationError, match="not a repro workflow-set document"):
+            service.parse_workflow(body, "application/json")
+
+    @pytest.mark.parametrize(
+        "content_type", ["Application/JSON", "APPLICATION/JSON; charset=UTF-8"]
+    )
+    def test_media_type_is_case_insensitive(self, content_type):
+        service = PlanningService()
+        body = workflows_to_json([diamond()]).encode()
+        assert service.parse_workflow(body, content_type).name == "wf"
+
+
+def xml_body(name="wf"):
+    return workflow_to_xml(diamond(name)).encode()
+
+
+class TestParseMemo:
+    def test_third_parse_returns_the_memoized_workflow(self):
+        service = PlanningService()
+        body = xml_body()
+        first = service.parse_workflow(body)
+        second = service.parse_workflow(body)
+        assert second is not first  # first sighting only leaves a placeholder
+        assert service.parse_workflow(body) is second
+        assert service.parse_workflow(body) is second
+        assert service.stats()["parse_memo"] == {"size": 1, "hits": 2}
+
+    def test_one_byte_difference_reparses(self):
+        service = PlanningService()
+        body = xml_body()
+        for _ in range(3):
+            memoized = service.parse_workflow(body)
+        other = body.replace(b'name="wf"', b'name="wg"', 1)
+        assert other != body and len(other) == len(body)
+        reparsed = service.parse_workflow(other)
+        assert reparsed is not memoized and reparsed.name == "wg"
+        assert service.stats()["parse_memo"]["hits"] == 1
+
+    def test_malformed_body_raises_every_time_and_is_never_stored(self):
+        service = PlanningService()
+        for _ in range(4):
+            with pytest.raises(ValidationError):
+                service.parse_workflow(b"<workflow name='w'><job")
+        assert service.stats()["parse_memo"] == {"size": 0, "hits": 0}
+
+    def test_format_is_part_of_the_key(self):
+        """JSON bytes memoized as JSON must not answer an XML request."""
+        service = PlanningService()
+        body = workflows_to_json([diamond()]).encode()
+        for _ in range(3):
+            service.parse_workflow(body, "application/json")
+        assert service.stats()["parse_memo"]["hits"] == 1
+        with pytest.raises(ValidationError):
+            service.parse_workflow(body, "application/xml")
+        # The case-insensitive media type takes the same decision, so it
+        # shares the JSON entry.
+        service.parse_workflow(body, "Application/JSON")
+        assert service.stats()["parse_memo"]["hits"] == 2
+
+    def test_memo_is_bounded_and_evicts_least_recently_used(self):
+        service = PlanningService(ServiceConfig(cache_capacity=2))
+        a, b, c = xml_body("a"), xml_body("b"), xml_body("c")
+        service.parse_workflow(a)
+        stored_a = service.parse_workflow(a)
+        service.parse_workflow(b)
+        assert service.parse_workflow(a) is stored_a  # a is now most recent
+        service.parse_workflow(c)  # evicts b, the least recently used
+        assert service.stats()["parse_memo"]["size"] == 2
+        assert service.parse_workflow(a) is stored_a
+        hits = service.stats()["parse_memo"]["hits"]
+        service.parse_workflow(b)
+        service.parse_workflow(b)  # b's placeholder was evicted: no hit yet
+        assert service.stats()["parse_memo"]["hits"] == hits
+        assert service.stats()["parse_memo"]["size"] == 2
+
+    def test_unique_bodies_retain_only_placeholders(self):
+        service = PlanningService()
+        refs = [weakref.ref(service.parse_workflow(xml_body(f"wf{i}"))) for i in range(2000)]
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert service.stats()["parse_memo"] == {
+            "size": service.config.cache_capacity,
+            "hits": 0,
+        }
 
 
 class TestPlanAndAdmit:

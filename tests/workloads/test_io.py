@@ -61,6 +61,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="not a repro"):
             workflows_from_json('{"format": "something-else", "version": 1, "workflows": []}')
 
+    @pytest.mark.parametrize("text", ["[]", "null", "3", '"repro-workflows"'])
+    def test_non_object_document_rejected(self, text):
+        with pytest.raises(ValueError, match="not a repro workflow-set document"):
+            workflows_from_json(text)
+
     def test_wrong_version_rejected(self):
         with pytest.raises(ValueError, match="version"):
             workflows_from_json('{"format": "repro-workflows", "version": 99, "workflows": []}')
