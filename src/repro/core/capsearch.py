@@ -8,20 +8,31 @@ demand steady progress.  The paper proposes a binary search for the
 *minimum* cap under which the simulated makespan still meets the deadline:
 the least optimistic plan that is still feasible.
 
-Beyond the paper (probe reuse, DESIGN.md §6): every probe within a search
-is memoised, midpoints below an analytic floor are branched on without
-simulating — two lower bounds hold for *any* schedule the simulator can
-produce (the work-area bound ``makespan >= total_work / cap`` and a
-critical-path bound summing each chain job's phase spans at the probed
-cap), so a midpoint under the floor is infeasible with certainty — and the
-batches of the final feasible probe are retained on the result so
-``capped_plan`` / ``capped_plan_split`` build the :class:`ProgressPlan`
-directly instead of re-running Algorithm 1 at the found cap.  The
-bisection trajectory itself is the naive lo=1 search's, so the returned
-cap is identical by construction; the bounds are applied with a
-conservative epsilon so floating-point drift can only lower the floor
-(costing probes, never a different answer); ``probes`` keeps counting
-actual simulations, so the Fig 13b accounting stays honest.
+Beyond the paper (probe reuse, DESIGN.md §6-§7): every probe within a
+search is memoised, and the bisection branches without simulating
+wherever an analytic bound already decides a midpoint.  Below a *floor*
+a cap is infeasible with certainty: two lower bounds hold for *any*
+schedule the simulator can produce (the work-area bound
+``makespan >= total_work / cap`` and a critical-path bound summing each
+chain job's phase spans at the probed cap).  At or above a *ceiling* a
+pooled cap is feasible with certainty: the simulation is work-conserving,
+so Graham's list-scheduling bound ``makespan <= total_work / cap + L``
+holds, with ``L`` the task-level critical path (proof in
+:func:`find_min_cap`).  The batches of the returned cap's simulation are
+retained on the result so ``capped_plan`` / ``capped_plan_split`` build
+the :class:`ProgressPlan` directly instead of re-running Algorithm 1 at
+the found cap.  The bisection trajectory itself is the naive lo=1
+search's, so the returned cap is identical by construction; the bounds
+are applied with a conservative epsilon so floating-point drift can only
+narrow the range they decide (costing probes, never a different answer).
+``probes`` keeps counting actual simulations; it is read by the
+``probes <= ref.probes`` check of ``tests/integration/test_plan_equivalence.py``
+and by the e2e benchmark's ``capsearch.probes_per_search`` layer metric.
+
+The split-pool search uses the floor only.  Its ceiling would be
+``W_m / c_m + W_r / c_r + L``, which needs its own work-conservation
+argument per pool; until that argument is written down and tested, the
+split search simulates every midpoint the floor does not rule out.
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ from repro.core.plangen import (
     generate_requirements_split,
 )
 from repro.core.progress import ProgressPlan
-from repro.workflow.dag import critical_path
+from repro.workflow.dag import critical_path, longest_path_weights
 from repro.workflow.model import Workflow
 
 __all__ = [
@@ -51,8 +62,9 @@ __all__ = [
 ]
 
 # Relative slack applied to the analytic bounds: a cap is ruled out only
-# when its bound exceeds the deadline by more than this margin, so the
-# seeding can never disagree with the simulated verdict over float noise.
+# when its lower bound exceeds the deadline by more than this margin, and
+# ruled in only when its upper bound falls short of it by more, so the
+# bounds can never disagree with the simulated verdict over float noise.
 _BOUND_EPS = 1e-9
 
 _Batches = List[Tuple[float, int]]
@@ -114,8 +126,14 @@ def _chain_time(
     return total
 
 
-def _seed_lo_pooled(workflow: Workflow, deadline: float, max_slots: int) -> int:
-    """Smallest cap the analytic bounds cannot rule out (pooled slots)."""
+def _seed_lo_pooled(
+    workflow: Workflow, deadline: float, max_slots: int, weights: Dict[str, float]
+) -> int:
+    """Smallest cap the analytic bounds cannot rule out (pooled slots).
+
+    ``weights`` is the workflow's ``longest_path_weights``, shared with
+    :func:`_graham_ceiling` so a search walks the DAG once.
+    """
     lo = 1
     if deadline <= 0:
         return lo
@@ -126,13 +144,13 @@ def _seed_lo_pooled(workflow: Workflow, deadline: float, max_slots: int) -> int:
         lo = max(lo, math.ceil(ratio - _BOUND_EPS * (ratio if ratio > 1.0 else 1.0)))
     if lo >= max_slots:
         return max_slots
-    chain_jobs = [workflow.job(name) for name in critical_path(workflow)]
+    chain_jobs = [workflow.job(name) for name in critical_path(workflow, weights)]
     slack = deadline + _BOUND_EPS * (abs(deadline) if abs(deadline) > 1.0 else 1.0)
     if _chain_time(chain_jobs, lo, lo) > slack:
         # Chain time is non-increasing in the cap; find the smallest cap
         # the chain bound admits.  max_slots always qualifies (the caller
-        # only seeds after probing it feasible, and the bound is a lower
-        # bound on the simulated makespan).
+        # only seeds once it knows max_slots is feasible, by probe or by
+        # the ceiling, and the bound is a lower bound on the makespan).
         low, high = lo, max_slots
         while low < high:
             mid = (low + high) // 2
@@ -142,6 +160,23 @@ def _seed_lo_pooled(workflow: Workflow, deadline: float, max_slots: int) -> int:
                 high = mid
         lo = low
     return min(lo, max_slots)
+
+
+def _graham_ceiling(total_work: float, longest: float, deadline: float) -> Optional[int]:
+    """Smallest cap ``c >= 1`` with ``total_work / c + longest`` under the
+    deadline by the epsilon margin, or ``None`` when no cap qualifies.
+
+    The margin is subtracted, so float noise can only raise the ceiling
+    (one more simulated probe), never admit an infeasible cap.
+    """
+    slack = deadline - _BOUND_EPS * (abs(deadline) if abs(deadline) > 1.0 else 1.0)
+    room = slack - longest
+    if room <= 0:
+        return None
+    cap = max(1, math.ceil(total_work / room))
+    while total_work / cap + longest > slack:  # ceil() rounded the wrong way
+        cap += 1
+    return cap
 
 
 def find_min_cap(
@@ -180,11 +215,28 @@ def find_min_cap(
     The paper relies on makespan being non-increasing in the cap.  Our
     greedy list simulation can in principle exhibit Graham anomalies; the
     binary search matches the paper, and the final plan is built from the
-    probe at the returned cap, so any anomaly costs only plan quality,
-    never correctness.  The analytic floor only suppresses simulations
-    whose infeasible verdict is already certain, so the search visits the
-    same midpoints and returns the same cap as the unpruned search —
-    anomalies or not.
+    simulation at the returned cap, so any anomaly costs only plan quality,
+    never correctness.  The analytic bounds only suppress simulations
+    whose verdict is already certain, so the search visits the same
+    midpoints and returns the same cap as the unpruned search — anomalies
+    or not.
+
+    Why the ceiling is certain: ``_SimProblem.run(pooled=True)`` drains
+    every event at an instant before it assigns, and stops assigning only
+    when no slot is free or the heap holds no job with an unassigned
+    ready phase (a partially served phase goes back into the heap).  So
+    every instant before the makespan is either fully busy, and those
+    instants total at most ``W / cap`` because the busy area is at most
+    ``W``; or no ready task waits, and then Graham's chain argument
+    (walk back from the last task to finish, each time to a predecessor
+    running at the latest not-fully-busy instant before the current task
+    starts)
+    covers it with a task of one precedence chain.  Chain tasks sum to at
+    most ``L``, the heaviest job chain by ``serial_length``.  Hence
+    ``makespan <= W / cap + L``, and every cap at or above
+    :func:`_graham_ceiling` meets the deadline.  The returned cap is
+    simulated once at the end if the bounds alone decided it, so
+    ``batches`` and ``makespan`` are always the simulated ones.
     """
     if max_slots < 1:
         raise ValueError("max_slots must be >= 1")
@@ -215,33 +267,41 @@ def find_min_cap(
             cap=max_slots, feasible=True, makespan=makespan, probes=probes, batches=batches
         )
 
-    batches_at_max, makespan_at_max = probe(max_slots)
-    if makespan_at_max > relative_deadline:
-        return CapSearchResult(
-            cap=max_slots,
-            feasible=False,
-            makespan=makespan_at_max,
-            probes=probes,
-            batches=batches_at_max,
-        )
+    weights = longest_path_weights(workflow)
+    ceiling = _graham_ceiling(workflow.total_work, max(weights.values()), relative_deadline)
+    if ceiling is None:
+        ceiling = max_slots + 1  # no cap is certain; simulate them all
+    if max_slots < ceiling:
+        batches_at_max, makespan_at_max = probe(max_slots)
+        if makespan_at_max > relative_deadline:
+            return CapSearchResult(
+                cap=max_slots,
+                feasible=False,
+                makespan=makespan_at_max,
+                probes=probes,
+                batches=batches_at_max,
+            )
 
     # Invariant: hi is feasible.  The bisection trajectory is the naive
-    # lo=1 search's, unchanged — but any midpoint below the analytic floor
-    # is provably infeasible (the bounds lower-bound the simulated
-    # makespan), so its branch is taken without running Algorithm 1.
-    floor = _seed_lo_pooled(workflow, relative_deadline, max_slots)
+    # lo=1 search's, unchanged — but a midpoint below the floor is
+    # provably infeasible and one at or above the ceiling provably
+    # feasible, so its branch is taken without running Algorithm 1.
+    floor = _seed_lo_pooled(workflow, relative_deadline, max_slots, weights)
     lo, hi = 1, max_slots
     while lo < hi:
         mid = (lo + hi) // 2
         if mid < floor:
             lo = mid + 1
             continue
+        if mid >= ceiling:
+            hi = mid
+            continue
         _batches, makespan = probe(mid)
         if makespan <= relative_deadline:
             hi = mid
         else:
             lo = mid + 1
-    batches, best_makespan = memo[hi]
+    batches, best_makespan = probe(hi)
     return CapSearchResult(
         cap=hi, feasible=True, makespan=best_makespan, probes=probes, batches=batches
     )

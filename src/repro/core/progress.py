@@ -146,9 +146,15 @@ class ProgressPlan:
         if self.resource_cap >= self._INFEASIBLE_BIT:
             raise ValueError(f"resource cap {self.resource_cap} too large to serialise")
         cap_field = self.resource_cap | (0 if self.feasible else self._INFEASIBLE_BIT)
-        blob = [struct.pack("<IdII", cap_field, self.makespan, len(self.entries), len(self.job_order))]
-        for entry in self.entries:
-            blob.append(struct.pack("<dI", entry.ttd, entry.cum_req))
+        entries = self.entries
+        fields = [cap_field, self.makespan, len(entries), len(self.job_order)]
+        append = fields.append
+        for entry in entries:
+            append(entry.ttd)
+            append(entry.cum_req)
+        # One pack for header and records: "<" has no padding, so this is
+        # byte-for-byte the per-record concatenation.
+        blob = [struct.pack("<IdII" + "dI" * len(entries), *fields)]
         for name in self.job_order:
             encoded = name.encode("utf-8")
             blob.append(struct.pack("<H", len(encoded)))

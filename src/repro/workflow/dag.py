@@ -7,7 +7,7 @@ assignment, longest (critical) paths, ancestor/descendant closures.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.workflow.model import Workflow
 
@@ -59,12 +59,17 @@ def longest_path_weights(workflow: Workflow) -> Dict[str, float]:
     return result
 
 
-def critical_path(workflow: Workflow) -> Tuple[str, ...]:
+def critical_path(
+    workflow: Workflow, weights: Optional[Dict[str, float]] = None
+) -> Tuple[str, ...]:
     """The job names along the heaviest root-to-sink chain.
 
     Ties are broken lexicographically so the result is deterministic.
+    ``weights`` is this workflow's :func:`longest_path_weights`, for
+    callers that already computed them.
     """
-    weights = longest_path_weights(workflow)
+    if weights is None:
+        weights = longest_path_weights(workflow)
     start = min(
         (name for name in workflow.job_names()),
         key=lambda n: (-weights[n], n),

@@ -1,10 +1,22 @@
 """Unit tests for the resource-cap binary search (§IV-A improvement)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.capsearch import capped_plan, find_min_cap
-from repro.core.plangen import simulate_makespan
+from benchmarks._reference_plangen import reference_find_min_cap, reference_planner
+from repro.core.capsearch import (
+    _BOUND_EPS,
+    _chain_time,
+    capped_plan,
+    find_min_cap,
+    plan_from_search,
+)
+from repro.core.plangen import _SimProblem, simulate_makespan
+from repro.core.priorities import PRIORITIZERS
+from repro.workflow import dag
 from repro.workflow.builder import WorkflowBuilder
+from tests.strategies import workflows
 
 
 def wide_job(maps=12, map_s=10.0):
@@ -78,6 +90,54 @@ class TestFindMinCap:
     def test_bad_max_slots_rejected(self):
         with pytest.raises(ValueError):
             find_min_cap(wide_job(), max_slots=0)
+
+    def test_loose_deadline_decided_by_ceiling(self):
+        """W/1 + L <= D: every cap is certainly feasible, so the only
+        simulation is the one that yields the returned cap's batches."""
+        w = (
+            WorkflowBuilder("w")
+            .job("a", maps=7, reduces=3, map_s=13, reduce_s=29)
+            .job("b", maps=5, reduces=2, map_s=11, reduce_s=17, after=["a"])
+            .build()
+        )
+        deadline = w.total_work + dag.critical_path_length(w)
+        order = PRIORITIZERS["lpf"](w)
+        result = find_min_cap(w, max_slots=64, relative_deadline=deadline, job_order=order)
+        assert (result.cap, result.feasible, result.probes) == (1, True, 1)
+        assert result.batches is not None
+        assert result.makespan == simulate_makespan(w, 1, order)
+        ref = reference_find_min_cap(w, 64, relative_deadline=deadline, job_order=order)
+        assert (ref.cap, ref.feasible, ref.makespan) == (1, True, result.makespan)
+        assert ref.probes > result.probes
+        timed = w.with_timing(0.0, deadline)
+        assert (
+            plan_from_search(w, order, result).to_bytes()
+            == reference_planner("lpf")(timed, 64).to_bytes()
+        )
+
+
+@st.composite
+def _workflow_and_cap(draw):
+    workflow = draw(workflows())
+    return workflow, draw(st.integers(1, workflow.total_tasks + 1))
+
+
+@given(_workflow_and_cap(), st.sampled_from(sorted(PRIORITIZERS)))
+@settings(max_examples=200, deadline=None)
+def test_analytic_bounds_bracket_simulated_makespan(case, prioritizer):
+    """The floor and the ceiling the search relies on, on random DAGs:
+    max(W/cap, chain bound) <= makespan <= W/cap + L."""
+    workflow, cap = case
+    order = PRIORITIZERS[prioritizer](workflow)
+    _batches, makespan = _SimProblem(workflow, order).run(cap, pooled=True)
+    weights = dag.longest_path_weights(workflow)
+    chain = [workflow.job(name) for name in dag.critical_path(workflow, weights)]
+    area = workflow.total_work / cap
+    lower = max(area, _chain_time(chain, cap, cap))
+    upper = area + max(weights.values())
+    tolerance = _BOUND_EPS * max(1.0, upper)
+    assert lower <= makespan + tolerance
+    assert makespan <= upper + tolerance
 
 
 class TestCappedPlan:

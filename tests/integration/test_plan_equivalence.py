@@ -5,7 +5,9 @@ plan built from the search's final probe, optional plan cache) promises to
 change *nothing* about the emitted plans — only how fast they are
 produced.  Following the trace-invariance pattern, this corpus test pins
 that promise over the evaluation workloads: the Yahoo! trace behind
-Figs 8-10 and the Fig 11 topologies, for all three prioritizers and both
+Figs 8-10, the Fig 11 topologies and the serve tier's templates across a
+deadline sweep (where the cap search's analytic ceiling decides most
+midpoints), for all three prioritizers and both
 pool modes, comparing ``ProgressPlan.to_bytes()`` pair-wise against
 ``benchmarks/_reference_plangen`` (the planning pipeline as it stood
 before the rewrite, kept verbatim).
@@ -22,14 +24,36 @@ from repro.core.capsearch import find_min_cap
 from repro.core.client import make_planner
 from repro.core.plancache import PlanCache
 from repro.core.priorities import PRIORITIZERS
+from repro.experiments.scenarios import SCENARIOS
 from repro.workloads.topologies import fig11_workflows
 
+#: Deadline stretches applied to each serve template's own: 0.1 is
+#: infeasible even on the whole cluster, 0.3 leaves the Graham ceiling
+#: above most midpoints, and the loose ones put it low enough that most
+#: of the bisection is decided without simulating.
+_SERVE_STRETCHES = (0.1, 0.3, 0.6, 1.0, 1.5, 4.0)
+
+
 #: (corpus name, workflows, total_slots) — slot counts match the figure
-#: benches: Fig 8's 200m+200r cluster and Fig 11's 32-node cluster.
+#: benches: Fig 8's 200m+200r cluster and Fig 11's 32-node cluster; the
+#: serve templates run at the serve tier's 200 slots.
 def _corpus():
+    # The 64 serve templates are dated copies of a few shapes; planning
+    # reads only what the plan-cache fingerprint holds, so one template
+    # per fingerprint covers them all.
+    shapes = {
+        PlanCache.fingerprint(t, t.topological_order(), 200): t
+        for t in SCENARIOS["serve"](0, 16.0)[0]
+    }
+    serve = [
+        template.with_timing(0.0, template.relative_deadline * stretch)
+        for template in shapes.values()
+        for stretch in _SERVE_STRETCHES
+    ]
     return [
         ("yahoo", list(yahoo_trace()), 400),
         ("fig11", list(fig11_workflows()), 96),
+        ("serve", serve, 200),
     ]
 
 
