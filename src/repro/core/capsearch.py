@@ -48,7 +48,6 @@ from repro.core.plangen import (
     generate_requirements_split,
 )
 from repro.core.progress import ProgressPlan
-from repro.workflow.dag import critical_path, longest_path_weights
 from repro.workflow.model import Workflow
 
 __all__ = [
@@ -79,8 +78,9 @@ class CapSearchResult:
     makespan: float
     probes: int  # number of Algorithm 1 simulations performed
     # Batches of the simulation at ``cap``, retained so the caller can
-    # build the plan without re-simulating.  Excluded from equality/repr:
-    # it is derived state, fully determined by the other fields.
+    # build the plan without re-simulating (``client._plan_entry`` drops
+    # them once it has).  Excluded from equality/repr: it is derived
+    # state, fully determined by the other fields.
     batches: Optional[_Batches] = field(default=None, repr=False, compare=False)
 
 
@@ -126,25 +126,24 @@ def _chain_time(
     return total
 
 
-def _seed_lo_pooled(
-    workflow: Workflow, deadline: float, max_slots: int, weights: Dict[str, float]
-) -> int:
+def _seed_lo_pooled(problem: _SimProblem, deadline: float, max_slots: int) -> int:
     """Smallest cap the analytic bounds cannot rule out (pooled slots).
 
-    ``weights`` is the workflow's ``longest_path_weights``, shared with
-    :func:`_graham_ceiling` so a search walks the DAG once.
+    Reads the problem's cached ``total_work`` and ``critical_chain``, which
+    :func:`_graham_ceiling`'s inputs share, so a search walks the DAG at
+    most once (and not at all on a retained problem).
     """
     lo = 1
     if deadline <= 0:
         return lo
-    total_work = workflow.total_work
+    total_work = problem.total_work
     if total_work > 0:
         # Work-area bound: cap * makespan >= total_work.
         ratio = total_work / deadline
         lo = max(lo, math.ceil(ratio - _BOUND_EPS * (ratio if ratio > 1.0 else 1.0)))
     if lo >= max_slots:
         return max_slots
-    chain_jobs = [workflow.job(name) for name in critical_path(workflow, weights)]
+    chain_jobs = problem.critical_chain
     slack = deadline + _BOUND_EPS * (abs(deadline) if abs(deadline) > 1.0 else 1.0)
     if _chain_time(chain_jobs, lo, lo) > slack:
         # Chain time is non-increasing in the cap; find the smallest cap
@@ -196,8 +195,9 @@ def find_min_cap(
         relative_deadline: ``D_i - S_i``; defaults to the workflow's own.
         job_order: intra-workflow priority order fed to Algorithm 1.
         problem: pre-built :class:`_SimProblem` for ``(workflow, order)``;
-            fused searches over structurally identical workflows share one
-            setup instead of rebuilding it per search.
+            searches over structurally identical workflows share one
+            setup, and the bound inputs it caches, instead of rebuilding
+            them per search.
         memo: external probe memo ``{cap: (batches, makespan)}`` shared
             *across* searches on the same problem.  A probe at a given cap
             is a pure function of the problem, never of the deadline, so
@@ -267,8 +267,9 @@ def find_min_cap(
             cap=max_slots, feasible=True, makespan=makespan, probes=probes, batches=batches
         )
 
-    weights = longest_path_weights(workflow)
-    ceiling = _graham_ceiling(workflow.total_work, max(weights.values()), relative_deadline)
+    ceiling = _graham_ceiling(
+        problem.total_work, max(problem.longest_path_weights.values()), relative_deadline
+    )
     if ceiling is None:
         ceiling = max_slots + 1  # no cap is certain; simulate them all
     if max_slots < ceiling:
@@ -286,7 +287,7 @@ def find_min_cap(
     # lo=1 search's, unchanged — but a midpoint below the floor is
     # provably infeasible and one at or above the ceiling provably
     # feasible, so its branch is taken without running Algorithm 1.
-    floor = _seed_lo_pooled(workflow, relative_deadline, max_slots, weights)
+    floor = _seed_lo_pooled(problem, relative_deadline, max_slots)
     lo, hi = 1, max_slots
     while lo < hi:
         mid = (lo + hi) // 2
@@ -363,7 +364,7 @@ def _split_caps(k: int, total: int, map_fraction: float) -> "tuple[int, int]":
 
 
 def _seed_lo_split(
-    workflow: Workflow,
+    problem: _SimProblem,
     deadline: float,
     max_slots: int,
     map_fraction: float,
@@ -373,7 +374,7 @@ def _seed_lo_split(
     lo = floor
     if deadline <= 0:
         return lo
-    total_work = workflow.total_work
+    total_work = problem.total_work
     if total_work > 0:
         # ``_split_caps`` yields at most k + 1 slots in total, so the
         # work-area bound on k is one looser than the pooled one.
@@ -382,7 +383,7 @@ def _seed_lo_split(
     lo = max(floor, min(lo, max_slots))
     if lo >= max_slots:
         return max_slots
-    chain_jobs = [workflow.job(name) for name in critical_path(workflow)]
+    chain_jobs = problem.critical_chain
     slack = deadline + _BOUND_EPS * (abs(deadline) if abs(deadline) > 1.0 else 1.0)
 
     def chain_at(k: int) -> float:
@@ -470,7 +471,7 @@ def find_min_cap_split(
         return SplitCapSearchResult(mc, rc, False, top, probes, batches_at_max)
 
     start = min(2, max_slots)
-    floor = _seed_lo_split(workflow, relative_deadline, max_slots, map_fraction, start)
+    floor = _seed_lo_split(problem, relative_deadline, max_slots, map_fraction, start)
     lo, hi = start, max_slots
     while lo < hi:
         mid = (lo + hi) // 2

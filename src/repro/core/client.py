@@ -15,13 +15,19 @@ framework's central design decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple, Union
 
 from repro.cluster.jobtracker import JobTracker, WorkflowInProgress
-from repro.core.capsearch import find_min_cap, plan_from_search
+from repro.core.capsearch import (
+    CapSearchResult,
+    SplitCapSearchResult,
+    find_min_cap,
+    find_min_cap_split,
+    plan_from_search,
+)
 from repro.core.plancache import PlanCache, PlanCacheEntry
-from repro.core.plangen import generate_requirements
+from repro.core.plangen import generate_requirements, generate_requirements_split
 from repro.core.priorities import PRIORITIZERS, Prioritizer
 from repro.core.progress import ProgressPlan
 from repro.hdfs import HdfsNamespace
@@ -59,38 +65,56 @@ def _plan_entry(
     map_fraction: float = 2.0 / 3.0,
     problem=None,
     memo=None,
+    plans: Optional[Dict[Hashable, ProgressPlan]] = None,
 ) -> PlanCacheEntry:
     """One full planning run: ``(cap-search result, plan)``.
 
     The unit both :class:`WohaClient` and :func:`make_planner` compute, and
     the unit :class:`~repro.core.plancache.PlanCache` stores.  The search
-    result is ``None`` when cap search is off.
+    result is ``None`` when cap search is off; otherwise it is stored with
+    ``batches=None``, since the plan it stood for is built.
 
-    ``problem``/``memo`` are the batch-fusion seams
-    (:mod:`repro.serve.batching`): a shared pre-built ``_SimProblem`` and a
-    cross-search probe memo for requests that differ only in deadline or
-    slot count.  Both default to per-call state, which is the plain
-    client-side path.
+    ``problem``/``memo``/``plans`` are the serve tier's sharing seams
+    (:mod:`repro.serve.batching`) for requests that differ only in
+    deadline or slot count: a pre-built ``_SimProblem``, a cross-search
+    probe memo, and a memo of finished plans keyed by the search outcome —
+    ``(cap, feasible)`` pooled, ``(map_cap, reduce_cap, feasible)`` split,
+    or the slot count with cap search off.  A plan is a pure function of
+    the problem and that outcome, so equal outcomes share one plan object
+    (and its cached wire bytes).  All three default to per-call state,
+    which is the plain client-side path.
     """
     order = tuple(job_order)
-    if pool == "split":
-        from repro.core.capsearch import find_min_cap_split
-        from repro.core.plangen import generate_requirements_split
-
-        if cap_search:
-            result = find_min_cap_split(
-                workflow, total_slots, map_fraction, job_order=order,
-                problem=problem, memo=memo,
-            )
-            return result, plan_from_search(workflow, order, result)
-        map_cap = max(1, round(total_slots * map_fraction))
-        return None, generate_requirements_split(
-            workflow, map_cap, max(1, total_slots - map_cap), order, problem=problem
+    if plans is None:
+        plans = {}
+    result: Union[CapSearchResult, SplitCapSearchResult, None] = None
+    if not cap_search:
+        outcome: Hashable = total_slots
+    elif pool == "split":
+        result = find_min_cap_split(
+            workflow, total_slots, map_fraction, job_order=order, problem=problem, memo=memo
         )
-    if cap_search:
+        outcome = (result.map_cap, result.reduce_cap, result.feasible)
+    else:
         result = find_min_cap(workflow, total_slots, job_order=order, problem=problem, memo=memo)
-        return result, plan_from_search(workflow, order, result)
-    return None, generate_requirements(workflow, total_slots, order, feasible=True, problem=problem)
+        outcome = (result.cap, result.feasible)
+    plan = plans.get(outcome)
+    if plan is None:
+        if result is not None:
+            plan = plan_from_search(workflow, order, result)
+        elif pool == "split":
+            map_cap = max(1, round(total_slots * map_fraction))
+            plan = generate_requirements_split(
+                workflow, map_cap, max(1, total_slots - map_cap), order, problem=problem
+            )
+        else:
+            plan = generate_requirements(
+                workflow, total_slots, order, feasible=True, problem=problem
+            )
+        plans[outcome] = plan
+    if result is not None:
+        result = replace(result, batches=None)
+    return result, plan
 
 
 @dataclass(frozen=True)

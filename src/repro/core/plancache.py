@@ -110,13 +110,17 @@ class PlanCache:
         total_slots: int,
         mode: Iterable[Any],
         build: Callable[[], PlanCacheEntry],
+        key: Optional[_Key] = None,
     ) -> PlanCacheEntry:
         """Return the cached entry for this planning problem, or build it.
 
         ``build`` runs only on a miss; its result is stored before being
         returned, evicting the least-recently-used entry when full.
+        ``key`` is the :meth:`fingerprint` of the other arguments, for a
+        caller that already computed it.
         """
-        key = self.fingerprint(workflow, job_order, total_slots, mode)
+        if key is None:
+            key = self.fingerprint(workflow, job_order, total_slots, mode)
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
@@ -136,15 +140,19 @@ class PlanCache:
         job_order: Sequence[str],
         total_slots: int,
         mode: Iterable[Any] = (),
+        key: Optional[_Key] = None,
     ) -> Optional[PlanCacheEntry]:
         """Return the cached entry (counted as a hit) or ``None``.
 
         An absent key is *not* counted as a miss — miss accounting belongs
         to whoever performs the build (:meth:`get_or_build` or the serve
         tier's batch flush), so a lookup-then-build sequence records
-        exactly one event per request.
+        exactly one event per request.  ``key`` is as in
+        :meth:`get_or_build`: a caller that keeps the fingerprint for its
+        later build computes it once.
         """
-        key = self.fingerprint(workflow, job_order, total_slots, mode)
+        if key is None:
+            key = self.fingerprint(workflow, job_order, total_slots, mode)
         entries = self._entries
         entry = entries.get(key)
         if entry is None:

@@ -38,7 +38,8 @@ from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.progress import ProgressEntry, ProgressPlan
-from repro.workflow.model import Workflow
+from repro.workflow.dag import critical_path, longest_path_weights
+from repro.workflow.model import WJob, Workflow
 
 __all__ = ["generate_requirements", "generate_requirements_split", "simulate_makespan"]
 
@@ -62,6 +63,11 @@ class _SimProblem:
     workflow — and the cap search runs ~log(n) simulations over the *same*
     workflow and order.  This class does that setup once; :meth:`run`
     copies the mutable counters and executes the event loop for one cap.
+
+    The cap search's analytic bounds read three more structure-only inputs
+    (:attr:`total_work`, :attr:`longest_path_weights`,
+    :attr:`critical_chain`).  Each is computed on first use, at most once
+    per problem, so a setup retained across searches walks the DAG once.
     """
 
     __slots__ = (
@@ -76,6 +82,9 @@ class _SimProblem:
         "name_of",
         "dependents",
         "root_ranks",
+        "_total_work",
+        "_weights",
+        "_chain",
     )
 
     def __init__(self, workflow: Workflow, job_order: Sequence[str]) -> None:
@@ -110,6 +119,34 @@ class _SimProblem:
             # cache and the byte-equivalence oracle.
             self.dependents[r] = tuple(rank[d] for d in sorted(workflow.dependents(wjob.name)))
         self.root_ranks = tuple(rank[root] for root in workflow.roots())
+        self._total_work: Optional[float] = None
+        self._weights: Optional[Dict[str, float]] = None
+        self._chain: Optional[Tuple[WJob, ...]] = None
+
+    @property
+    def total_work(self) -> float:
+        """The workflow's total slot-seconds (``Workflow.total_work``)."""
+        if self._total_work is None:
+            self._total_work = self.workflow.total_work
+        return self._total_work
+
+    @property
+    def longest_path_weights(self) -> Dict[str, float]:
+        """:func:`~repro.workflow.dag.longest_path_weights` of the workflow."""
+        if self._weights is None:
+            self._weights = longest_path_weights(self.workflow)
+        return self._weights
+
+    @property
+    def critical_chain(self) -> Tuple[WJob, ...]:
+        """The jobs along :func:`~repro.workflow.dag.critical_path`."""
+        if self._chain is None:
+            workflow = self.workflow
+            self._chain = tuple(
+                workflow.job(name)
+                for name in critical_path(workflow, self.longest_path_weights)
+            )
+        return self._chain
 
     def run(
         self,

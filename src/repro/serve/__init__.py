@@ -7,7 +7,8 @@ batching planner:
 
 * :mod:`repro.serve.batching` — the next-turn flush that fuses the
   cache misses parked in one event-loop iteration; misses sharing a
-  workflow structure share one ``_SimProblem`` setup and one probe memo.
+  workflow structure share a retained ``_SimProblem`` setup and its
+  finished plans across flushes, and one probe memo within a flush.
 * :mod:`repro.serve.service` — :class:`PlanningService`, the transport-
   independent core (plan / admit / stats / trace).
 * :mod:`repro.serve.api` — :class:`PlanServer`, a minimal HTTP/1.1 layer

@@ -27,7 +27,8 @@ Routes:
     ``X-Trace-Next`` carries the cursor for the next poll.
 ``GET /v1/stats``
     JSON snapshot: request count, cache counters, batch counters,
-    parse-memo size and hits, per-tenant outcome counts.
+    retained-setup occupancy, parse-memo size and hits, per-tenant
+    outcome counts.
 
 Rejections use status 400 with the structured
 :meth:`~repro.core.client.ValidationReport.to_payload` body, so clients

@@ -1,13 +1,13 @@
-"""Micro-batched plan building with shared-setup fusion (DESIGN.md §15).
+"""Micro-batched plan building with retained shared setups (DESIGN.md §15).
 
 The planning pipeline splits into a per-*structure* part and a per-*request*
 part.  ``_SimProblem`` (:mod:`repro.core.plangen`) precomputes everything
 that depends only on the workflow DAG and the job order; a cap-search probe
 at cap ``c`` is then a pure function of ``(problem, c)`` — the deadline only
-decides *which* caps get probed.  So two concurrent requests for the same
-structure with different deadlines (the multi-tenant cold-start pattern:
-one template, per-tenant deadlines) can share one ``_SimProblem`` build and
-one probe memo, and each search skips every cap the other already simulated.
+decides *which* caps get probed — and the finished plan a pure function of
+the problem and the search outcome.  Recurrent structures come back with
+per-tenant deadlines (the multi-tenant cold-start pattern: one template,
+many deadlines), so those parts are worth keeping between requests.
 
 :class:`BatchingPlanner` exploits that overlap with a next-turn flush:
 
@@ -26,15 +26,23 @@ one probe memo, and each search skips every cap the other already simulated.
    either: an identical request parks before the flush (and fuses) or
    looks up after its commit (and hits).
 4. Within a flush, requests with identical fingerprints collapse to one
-   build (outcome ``"fused"``); distinct fingerprints sharing a fusion key
+   build (outcome ``"fused"``).  Distinct fingerprints sharing a fusion key
    (structure, job order, planner mode — everything *except* deadline and
-   slot count) share a ``_SimProblem`` and a probe memo.  A waiter
-   cancelled before the flush (a client that went away) is dropped from
-   the batch and never fails the requests it would have fused with.
+   slot count) share one probe memo for the flush, and one retained
+   *setup*: a ``_SimProblem`` plus a memo of finished plans keyed by the
+   search outcome.  Setups outlive the flush in an LRU keyed by the fusion
+   key, so a structure seen again in a later flush skips the setup build,
+   and a search that lands on an outcome seen before reuses its plan
+   object (and its cached wire bytes).  Retained setups and retained
+   plans are each bounded by the plan cache's capacity; whole setups are
+   evicted least-recently-used.  A waiter cancelled before the flush (a
+   client that went away) is dropped from the batch and never fails the
+   requests it would have fused with.
 
 Plan bytes are unchanged by construction: a probe's outcome at a given cap
 is deterministic, so memo-served probes return exactly what a fresh
-simulation would; only the *count* of simulations drops.
+simulation would, and a memo-served plan is what a fresh build would make;
+only the *count* of simulations and plan builds drops.
 ``tests/serve/test_wire_equivalence.py`` pins this against the direct
 :meth:`~repro.core.client.WohaClient.generate_plan` path.
 """
@@ -42,13 +50,17 @@ simulation would; only the *count* of simulations drops.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, List, Tuple, Union
+from collections import OrderedDict
+from typing import Any, Dict, Hashable, List, Tuple, Union
 
 from repro.core.client import _plan_entry, plan_cache_mode
 from repro.core.plancache import PlanCache, PlanCacheEntry
 from repro.core.plangen import _SimProblem
+from repro.core.progress import ProgressPlan
 from repro.trace import NULL_TRACER
 from repro.workflow.model import Workflow
+
+_Key = Tuple[Any, ...]
 
 __all__ = ["BatchingPlanner"]
 
@@ -57,7 +69,7 @@ class _PendingRequest:
     """One parked cache miss awaiting the next flush."""
 
     __slots__ = ("workflow", "order", "total_slots", "cap_search", "pool",
-                 "map_fraction", "mode", "future")
+                 "map_fraction", "mode", "key", "future")
 
     def __init__(
         self,
@@ -68,6 +80,7 @@ class _PendingRequest:
         pool: str,
         map_fraction: float,
         mode: Tuple[Any, ...],
+        key: _Key,
         future: "asyncio.Future[Tuple[PlanCacheEntry, str]]",
     ) -> None:
         self.workflow = workflow
@@ -77,7 +90,19 @@ class _PendingRequest:
         self.pool = pool
         self.map_fraction = map_fraction
         self.mode = mode
+        self.key = key  # the PlanCache fingerprint, computed once at lookup
         self.future = future
+
+
+class _Setup:
+    """One structure's retained planning state: the ``_SimProblem`` and
+    the plans built from it, keyed by search outcome (see ``_plan_entry``)."""
+
+    __slots__ = ("problem", "plans")
+
+    def __init__(self, problem: _SimProblem) -> None:
+        self.problem = problem
+        self.plans: Dict[Hashable, ProgressPlan] = {}
 
 
 class BatchingPlanner:
@@ -88,7 +113,9 @@ class BatchingPlanner:
 
     Args:
         cache: the shared :class:`~repro.core.plancache.PlanCache`; hits are
-            served from it synchronously, batch builds commit into it.
+            served from it synchronously, batch builds commit into it.  Its
+            ``capacity`` also bounds the retained setups and, separately,
+            the plans they hold.
         tracer: mirrors batch counters into the ``serve_batch`` scope.
     """
 
@@ -98,6 +125,9 @@ class BatchingPlanner:
         self.cache = cache
         self.tracer = tracer
         self._pending: List[_PendingRequest] = []
+        #: fusion key -> retained setup, least recently used first.
+        self._setups: "OrderedDict[_Key, _Setup]" = OrderedDict()
+        self._retained_plans = 0  # sum of len(setup.plans) over _setups
         self.batches = 0
         self.batched_requests = 0
         self.fused = 0
@@ -119,7 +149,8 @@ class BatchingPlanner:
         request in the same batch built it).
         """
         mode = plan_cache_mode(pool, cap_search, map_fraction)
-        entry = self.cache.lookup(workflow, job_order, total_slots, mode)
+        key = PlanCache.fingerprint(workflow, job_order, total_slots, mode)
+        entry = self.cache.lookup(workflow, job_order, total_slots, mode, key=key)
         if entry is not None:
             return entry, "hit"
         loop = asyncio.get_running_loop()
@@ -131,7 +162,7 @@ class BatchingPlanner:
         self._pending.append(
             _PendingRequest(
                 workflow, tuple(job_order), total_slots, cap_search, pool,
-                map_fraction, mode, future,
+                map_fraction, mode, key, future,
             )
         )
         return await future
@@ -152,43 +183,41 @@ class BatchingPlanner:
     def _flush(self, batch: List[_PendingRequest]) -> None:
         # Stage 1 — collapse identical fingerprints: one build serves all
         # duplicate requests in the batch (outcome "fused" for the extras).
-        by_key: Dict[Tuple[Any, ...], List[_PendingRequest]] = {}
+        by_key: Dict[_Key, List[_PendingRequest]] = {}
         for req in batch:
-            key = PlanCache.fingerprint(req.workflow, req.order, req.total_slots, req.mode)
-            group = by_key.get(key)
+            group = by_key.get(req.key)
             if group is None:
-                by_key[key] = [req]  # one accumulator per distinct fingerprint
+                by_key[req.key] = [req]  # one accumulator per distinct fingerprint
             else:
                 group.append(req)
         # Stage 2 — group distinct fingerprints by fusion key: everything
         # except the relative deadline and the slot count.  Members share a
-        # _SimProblem and a probe memo.
-        fusion: Dict[Tuple[Any, ...], List[List[_PendingRequest]]] = {}
+        # retained setup and, for this flush, a probe memo.
+        fusion: Dict[_Key, List[Tuple[_Key, List[_PendingRequest]]]] = {}
         for key, group in by_key.items():
             fkey = (key[0], key[1], key[4])  # (structure, order, mode) grouping key
             members = fusion.get(fkey)
             if members is None:
-                fusion[fkey] = [group]  # one accumulator per fusion group
+                fusion[fkey] = [(key, group)]  # one accumulator per fusion group
             else:
-                members.append(group)
+                members.append((key, group))
         fused_here = len(batch) - len(by_key)
         shared_here = 0
-        for members in fusion.values():
-            shared_here += len(members) - 1
-            first = members[0][0]
-            # The shared setup: exactly what _plan_entry would build per
-            # call, hoisted out of the member loop.  The memo carries probe
-            # results across the members' cap searches.
-            problem = _SimProblem(first.workflow, first.order)
+        for fkey, members in fusion.items():
+            # The probe memo lives for this flush only; see DESIGN.md §15.
             memo: Dict[Any, Any] = {}  # one probe memo per fusion group
-            for group in members:
+            for key, group in members:
                 lead = group[0]
                 try:
+                    setup, reused = self._setup_for(fkey, lead)
+                    held = len(setup.plans)
                     entry = self.cache.get_or_build(
                         lead.workflow, lead.order, lead.total_slots, lead.mode,
-                        build=lambda r=lead, p=problem, m=memo: _plan_entry(
+                        key=key,
+                        build=lambda r=lead, s=setup, m=memo: _plan_entry(
                             r.workflow, r.order, r.total_slots, r.cap_search,
-                            r.pool, r.map_fraction, problem=p, memo=m,
+                            r.pool, r.map_fraction, problem=s.problem, memo=m,
+                            plans=s.plans,
                         ),
                     )
                 except Exception as exc:  # repro: allow[DT303] - forwarded to each requester's future, never swallowed
@@ -197,6 +226,9 @@ class BatchingPlanner:
                         if not future.done():
                             future.set_exception(exc)
                     continue
+                shared_here += reused
+                self._retained_plans += len(setup.plans) - held
+                self._evict()
                 outcome = "miss"
                 for req in group:
                     future = req.future
@@ -215,6 +247,36 @@ class BatchingPlanner:
             if shared_here:
                 self.tracer.incr(self.COUNTER_SCOPE, "shared_setups", shared_here)
 
+    def _setup_for(self, fkey: _Key, lead: _PendingRequest) -> Tuple[_Setup, bool]:
+        """The retained setup for ``fkey``, built from ``lead`` if absent;
+        returns ``(setup, reused)`` and marks the setup most recently used."""
+        setups = self._setups
+        setup = setups.get(fkey)
+        if setup is not None:
+            setups.move_to_end(fkey)
+            return setup, True
+        setup = _Setup(_SimProblem(lead.workflow, lead.order))
+        setups[fkey] = setup
+        self._evict()
+        return setup, False
+
+    def _evict(self) -> None:
+        """Hold retained setups and their plans each within the cache's
+        capacity: drop least-recently-used setups, and when the most recent
+        one alone holds too many plans, its oldest plans."""
+        capacity = self.cache.capacity
+        setups = self._setups
+        while len(setups) > 1 and (
+            len(setups) > capacity or self._retained_plans > capacity
+        ):
+            _fkey, dropped = setups.popitem(last=False)
+            self._retained_plans -= len(dropped.plans)
+        if self._retained_plans > capacity:
+            plans = next(reversed(setups.values())).plans
+            while len(plans) > capacity:
+                del plans[next(iter(plans))]
+            self._retained_plans = len(plans)
+
     def counter_table(self) -> Dict[str, Dict[str, Union[int, float]]]:
         """Batch stats in the ``counter_table`` duck-type, so
         ``MetricsCollector.aggregate_counters`` accepts the planner."""
@@ -226,3 +288,7 @@ class BatchingPlanner:
                 "shared_setups": self.shared_setups,
             }
         }
+
+    def setup_table(self) -> Dict[str, int]:
+        """Retained-setup occupancy: setups held and plans they hold."""
+        return {"size": len(self._setups), "plans": self._retained_plans}

@@ -24,6 +24,11 @@ parsed bodies keyed by (format, body digest), bounded by
 :meth:`~repro.core.progress.ProgressPlan.to_bytes` computes a plan's wire
 bytes once per plan.  Both are still called on every request; only the
 repeated work is gone.  ``/v1/stats`` reports the memo as ``parse_memo``.
+
+The miss path: the batcher keeps each structure's planning setup and its
+finished plans across requests, so a recurrent structure with a new
+deadline pays only for its own cap search.  ``/v1/stats`` reports them as
+``setups``.
 """
 
 from __future__ import annotations
@@ -255,7 +260,8 @@ class PlanningService:
     # -- introspection ------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
-        """A JSON-ready snapshot: requests, cache, batching, tenants."""
+        """A JSON-ready snapshot: requests, cache, batching, retained
+        setups, parse memo, tenants."""
         counters = self.tracer.counter_table()
         tenants = {
             scope[len("tenant:"):]: dict(table)
@@ -277,6 +283,7 @@ class PlanningService:
                 **self.cache.counter_table()[PlanCache.COUNTER_SCOPE],
             },
             "batch": dict(self.batcher.counter_table()[BatchingPlanner.COUNTER_SCOPE]),
+            "setups": self.batcher.setup_table(),
             "parse_memo": {"size": len(self._parse_memo), "hits": self.parse_memo_hits},
             "tenants": tenants,
         }

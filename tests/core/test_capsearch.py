@@ -10,6 +10,7 @@ from repro.core.capsearch import (
     _chain_time,
     capped_plan,
     find_min_cap,
+    find_min_cap_split,
     plan_from_search,
 )
 from repro.core.plangen import _SimProblem, simulate_makespan
@@ -192,3 +193,46 @@ class TestPaperFig2Property:
         assert tight.requirement_at(D - t_mid) >= full.requirement_at(D - t_mid)
         # And the capped plan requires progress from the very start.
         assert tight.requirement_at(tight.makespan) > 0
+
+
+class TestSharedProblemInputs:
+    """The bounds' structure-only inputs are cached on ``_SimProblem``."""
+
+    def _workflow(self):
+        return (
+            WorkflowBuilder("w")
+            .job("a", maps=7, reduces=3, map_s=13, reduce_s=29)
+            .job("b", maps=5, reduces=2, map_s=11, reduce_s=17, after=["a"])
+            .job("c", maps=9, reduces=0, map_s=8, after=["a"])
+            .deadline(relative=120.0)
+            .build()
+        )
+
+    def test_inputs_match_the_dag_functions(self):
+        w = self._workflow()
+        problem = _SimProblem(w, PRIORITIZERS["lpf"](w))
+        assert problem.total_work == w.total_work
+        assert problem.longest_path_weights == dag.longest_path_weights(w)
+        assert [job.name for job in problem.critical_chain] == list(dag.critical_path(w))
+
+    def test_a_shared_problem_walks_the_dag_once(self, monkeypatch):
+        import repro.core.plangen as plangen
+
+        walks = []
+        real = plangen.longest_path_weights
+        monkeypatch.setattr(
+            plangen, "longest_path_weights", lambda wf: walks.append(wf) or real(wf)
+        )
+        w = self._workflow()
+        order = PRIORITIZERS["lpf"](w)
+        problem = _SimProblem(w, order)
+        for deadline in (120.0, 150.0, 400.0):
+            shared = find_min_cap(w, 64, deadline, order, problem=problem)
+            alone = find_min_cap(w, 64, deadline, order)
+            assert (shared.cap, shared.feasible, shared.makespan) == (
+                alone.cap, alone.feasible, alone.makespan
+            )
+        split = find_min_cap_split(w, 64, relative_deadline=150.0, job_order=order, problem=problem)
+        assert split == find_min_cap_split(w, 64, relative_deadline=150.0, job_order=order)
+        # One walk for the shared problem, one per unshared search.
+        assert len(walks) == 1 + 3 + 1

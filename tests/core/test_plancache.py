@@ -83,6 +83,21 @@ class TestAccounting:
         assert (len(cache), cache.hits, cache.misses, cache.evictions) == (0, 0, 0, 0)
 
 
+class TestPrecomputedKey:
+    def test_key_argument_stands_in_for_the_fingerprint(self):
+        cache = PlanCache()
+        w = diamond()
+        order = ("extract", "left", "right", "load")
+        key = PlanCache.fingerprint(w, order, 24, ("lpf",))
+        entry = (None, make_planner("lpf")(w, 24))
+        assert cache.lookup(w, order, 24, ("lpf",), key=key) is None
+        assert cache.get_or_build(w, order, 24, ("lpf",), lambda: entry, key=key) is entry
+        # Keyed and unkeyed calls address the same slot.
+        assert cache.lookup(w, order, 24, ("lpf",)) is entry
+        assert cache.get_or_build(w, order, 24, ("lpf",), lambda: None) is entry
+        assert (cache.misses, cache.hits, len(cache)) == (1, 2, 1)
+
+
 class TestLru:
     def test_eviction_order_is_least_recently_used(self):
         cache = PlanCache(capacity=2)

@@ -33,15 +33,25 @@ def order_of(workflow):
     return tuple(PRIORITIZERS["lpf"](workflow))
 
 
-def plan_all(planner, requests):
-    """Drive concurrent plan() calls to completion; returns (entry, outcome) list."""
+def plan_flushes(planner, flushes, cap_search=True, pool="pooled"):
+    """Run each list of ``(workflow, slots)`` requests as one concurrent
+    burst (one flush); returns the ``(entry, outcome)`` results in order."""
 
     async def go():
-        return await asyncio.gather(
-            *(planner.plan(w, order_of(w), slots) for w, slots in requests)
-        )
+        results = []
+        for requests in flushes:
+            results += await asyncio.gather(*(
+                planner.plan(w, order_of(w), slots, cap_search=cap_search, pool=pool)
+                for w, slots in requests
+            ))
+        return results
 
     return asyncio.run(go())
+
+
+def plan_all(planner, requests):
+    """Drive concurrent plan() calls to completion; returns (entry, outcome) list."""
+    return plan_flushes(planner, [requests])
 
 
 class TestNextTurnFlush:
@@ -229,3 +239,141 @@ class TestAccounting:
         assert client.generate_plan(w, total_slots=24) is entry[1]
         assert make_planner(plan_cache=cache)(w, 24) is entry[1]
         assert (cache.misses, cache.hits) == (1, 2)
+
+
+def chain(name="etl", *, relative_deadline=600.0):
+    return (
+        WorkflowBuilder(name)
+        .job("ingest", maps=10, reduces=3, map_s=9.0, reduce_s=21.0)
+        .job("clean", maps=5, reduces=2, map_s=14.0, reduce_s=11.0, after=["ingest"])
+        .job("report", maps=3, reduces=1, map_s=6.0, reduce_s=30.0, after=["clean"])
+        .deadline(relative=relative_deadline)
+        .build()
+    )
+
+
+class TestRetainedSetups:
+    """Setups and finished plans outlive the flush (DESIGN.md §15)."""
+
+    # Deadlines per structure: jitter around a feasible one, a loose one
+    # and one no cap can meet.
+    DEADLINES = (400.0, 401.0, 402.5, 900.0, 1.0)
+
+    def _bursts(self):
+        shapes = [diamond("d", maps=8), diamond("e", maps=9), chain("c")]
+        requests = [
+            (shape.with_timing(0.0, deadline), slots)
+            for deadline in self.DEADLINES
+            for slots in (24, 30)
+            for shape in shapes  # interleaved: consecutive requests differ in structure
+        ]
+        half = len(requests) // 2
+        return shapes, [requests[:half], requests[half:]]
+
+    @pytest.mark.parametrize(
+        "pool,cap_search",
+        [("pooled", True), ("split", True), ("pooled", False), ("split", False)],
+    )
+    @pytest.mark.parametrize("capacity", [1, 256])
+    def test_mixed_structures_across_flushes_match_the_direct_planner(
+        self, pool, cap_search, capacity
+    ):
+        shapes, bursts = self._bursts()
+        planner = BatchingPlanner(PlanCache(capacity=capacity))
+        results = plan_flushes(planner, bursts, cap_search=cap_search, pool=pool)
+        direct = make_planner("lpf", cap_search=cap_search, pool=pool)
+        requests = bursts[0] + bursts[1]
+        assert [outcome for _e, outcome in results] == ["miss"] * len(requests)
+        for (w, slots), ((search, plan), _outcome) in zip(requests, results):
+            assert plan.to_bytes() == direct(w, slots).to_bytes(), (w.name, w.deadline, slots)
+            if cap_search:
+                assert search.batches is None
+            else:
+                assert search is None
+        assert any(not plan.feasible for (_s, plan), _o in results) == cap_search
+        assert planner.batches == 2
+        setups = planner.setup_table()
+        assert setups["size"] <= capacity and setups["plans"] <= capacity
+        if capacity > len(shapes):
+            # One setup per structure, built in the first flush; every
+            # other build, the whole second flush included, reused one.
+            assert setups["size"] == len(shapes)
+            assert planner.shared_setups == len(requests) - len(shapes)
+
+    def test_reuse_is_counted_across_flushes(self):
+        planner = BatchingPlanner(PlanCache())
+        base = diamond()
+        plan_flushes(planner, [[(base, 24)]])
+        assert (planner.shared_setups, planner.setup_table()["size"]) == (0, 1)
+        later = [(base.with_timing(0.0, 400.0 + k), 24) for k in (1, 2)]
+        plan_flushes(planner, [later[:1], later[1:]])
+        assert planner.batches == 3
+        assert planner.shared_setups == 2  # one per later flush, none built
+        assert planner.setup_table()["size"] == 1
+
+    def test_equal_search_outcomes_share_one_plan_object(self):
+        planner = BatchingPlanner(PlanCache())
+        base = diamond()
+        results = plan_flushes(planner, [
+            [(base.with_timing(0.0, 400.0 + k), 24)] for k in range(3)
+        ])
+        (first, _), *rest = results
+        assert all(entry[1] is first[1] for entry, _o in rest)
+        assert len({entry[0] for entry, _o in results}) == 1  # same cap search outcome
+        assert planner.setup_table() == {"size": 1, "plans": 1}
+
+    @pytest.mark.parametrize("pool,met", [("pooled", 20.0), ("split", 30.0)])
+    def test_feasibility_keeps_plans_at_one_cap_apart(self, pool, met):
+        # 12 maps of 10 s on 6 slots: the full pool (6 pooled slots, or 4
+        # split map slots) is the only cap that meets ``met`` and nothing
+        # meets ``met - 0.5``, so both searches end at the full pool and
+        # differ only in the feasibility bit.
+        wide = WorkflowBuilder("wide").job("a", maps=12, reduces=0, map_s=10.0).build()
+        requests = [(wide.with_timing(0.0, deadline), 6) for deadline in (met, met - 0.5)]
+        planner = BatchingPlanner(PlanCache())
+        results = plan_flushes(planner, [requests[:1], requests[1:]], pool=pool)
+        plans = [plan for (_search, plan), _outcome in results]
+        assert [plan.feasible for plan in plans] == [True, False]
+        direct = make_planner("lpf", pool=pool)
+        for (w, slots), plan in zip(requests, plans):
+            assert plan.to_bytes() == direct(w, slots).to_bytes()
+
+    def test_retained_setups_and_plans_stay_within_capacity(self):
+        capacity, extra = 3, 4
+        planner = BatchingPlanner(PlanCache(capacity=capacity))
+        shapes = [diamond(f"s{i}", maps=2 + i) for i in range(capacity + extra)]
+        for shape in shapes:
+            plan_flushes(planner, [
+                [(shape.with_timing(0.0, deadline), 24) for deadline in (60.0, 400.0, 1.0)]
+            ])
+            setups = planner.setup_table()
+            assert setups["size"] <= capacity and setups["plans"] <= capacity
+
+    def test_evicted_structure_rebuilds_identical_bytes(self):
+        planner = BatchingPlanner(PlanCache(capacity=2))
+        first, second, third = (diamond(f"s{i}", maps=5 + i) for i in range(3))
+        plan_flushes(planner, [[(first, 24)], [(second, 24)], [(third, 24)]])
+        assert planner.shared_setups == 0
+        # ``first`` was evicted (from the setups and the plan cache alike):
+        # a new deadline for it builds a fresh setup and the same bytes.
+        again = first.with_timing(0.0, 401.0)
+        [((_search, plan), outcome)] = plan_flushes(planner, [[(again, 24)]])
+        assert outcome == "miss" and planner.shared_setups == 0
+        assert plan.to_bytes() == make_planner("lpf")(again, 24).to_bytes()
+
+    def test_fingerprint_computed_once_per_miss(self, monkeypatch):
+        calls = []
+        fingerprint = PlanCache.fingerprint
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return fingerprint(*args, **kwargs)
+
+        monkeypatch.setattr(PlanCache, "fingerprint", staticmethod(counting))
+        planner = BatchingPlanner(PlanCache())
+        w = diamond()
+        variants = [w.with_timing(0.0, 400.0 + k) for k in range(3)]
+        plan_flushes(planner, [[(v, 24) for v in variants]])
+        assert len(calls) == 3 and planner.cache.misses == 3
+        plan_flushes(planner, [[(variants[0], 24)]])  # a hit: one lookup
+        assert len(calls) == 4 and planner.cache.hits == 1

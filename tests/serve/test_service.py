@@ -223,6 +223,20 @@ class TestPlanAndAdmit:
         assert "late" not in tenants
         assert tenants["other"] == {"hit": 6}
 
+    def test_stats_report_retained_setups(self):
+        service = PlanningService(ServiceConfig(total_slots=24, cache_capacity=4))
+
+        async def go():
+            for deadline in (400.0, 401.0, 1.0):
+                await service.plan(diamond("a", relative_deadline=deadline))
+
+        asyncio.run(go())
+        stats = service.stats()
+        # One structure: one setup, holding the feasible and the infeasible plan.
+        assert stats["setups"] == {"size": 1, "plans": 2}
+        assert stats["batch"]["shared_setups"] == 2
+        assert stats["setups"]["size"] <= stats["plan_cache"]["capacity"]
+
     def test_admission_verdict_is_the_feasibility_bit(self):
         service = PlanningService(ServiceConfig(total_slots=24))
 
