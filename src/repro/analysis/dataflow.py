@@ -119,6 +119,7 @@ HOT_PATH_REGISTRY: Dict[str, Tuple[str, ...]] = {
     "repro/structures/skiplist.py": (
         "DeterministicSkipList.insert",
         "DeterministicSkipList.delete",
+        "DeterministicSkipList.rekey",
         "DeterministicSkipList.peek_head",
         "DeterministicSkipList.pop_head",
         "DeterministicSkipList.find",
@@ -197,7 +198,7 @@ _MUTATOR_METHODS = {
 #: with attribute/subscript stores these are the DT303 "paired mutation"
 #: vocabulary.
 _CONTRACT_MUTATORS = _MUTATOR_METHODS | {
-    "delete", "pop_head", "update_head_ct", "update_priority", "update_ct",
+    "delete", "pop_head", "rekey", "update_head_ct", "update_priority", "update_ct",
 }
 
 #: Pool methods that ship their function argument across a fork boundary.

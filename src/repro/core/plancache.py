@@ -25,6 +25,7 @@ scheduler counters; attaching a tracer mirrors each event into its
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
@@ -39,6 +40,31 @@ __all__ = ["PlanCache", "PlanCacheEntry"]
 PlanCacheEntry = Tuple[Optional[Any], ProgressPlan]
 
 _Key = Tuple[Any, ...]
+
+#: Each live ``Workflow``'s structure tuple, built once per object.  A
+#: ``Workflow`` is immutable and hashes by identity, so the serve tier's
+#: parse memo, which hands back the same object for a repeated body, makes
+#: every later fingerprint of it a lookup.
+_STRUCTURES: "weakref.WeakKeyDictionary[Workflow, Tuple[Any, ...]]" = weakref.WeakKeyDictionary()
+
+
+def _structure(workflow: Workflow) -> Tuple[Any, ...]:
+    """Per-job structure in definition order, memoized per object."""
+    structure = _STRUCTURES.get(workflow)
+    if structure is None:
+        structure = tuple(
+            (
+                job.name,
+                job.num_maps,
+                job.num_reduces,
+                job.map_duration,
+                job.reduce_duration,
+                tuple(sorted(job.prerequisites)),
+            )
+            for job in workflow.jobs
+        )
+        _STRUCTURES[workflow] = structure
+    return structure
 
 
 class PlanCache:
@@ -82,19 +108,8 @@ class PlanCache:
         workflow name nor its absolute submit time / deadline, so recurrent
         instances of one template collide by construction.
         """
-        structure = tuple(
-            (
-                job.name,
-                job.num_maps,
-                job.num_reduces,
-                job.map_duration,
-                job.reduce_duration,
-                tuple(sorted(job.prerequisites)),
-            )
-            for job in workflow.jobs
-        )
         return (
-            structure,
+            _structure(workflow),
             tuple(job_order),
             workflow.relative_deadline,
             total_slots,

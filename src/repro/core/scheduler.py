@@ -61,7 +61,10 @@ class _WorkflowRecord:
     """Scheduler-private state for one workflow (the ``W_h`` fields of
     Algorithm 2)."""
 
-    __slots__ = ("wip", "plan", "rank", "index", "rho_base", "deadline", "planned")
+    __slots__ = (
+        "wip", "plan", "rank", "index", "rho_base", "deadline", "planned",
+        "idle_map", "idle_reduce",
+    )
 
     def __init__(self, wip: "WorkflowInProgress", plan: Optional[ProgressPlan]):
         self.wip = wip
@@ -86,6 +89,10 @@ class _WorkflowRecord:
             and len(plan) > 0
             and plan.feasible
         )
+        # The scheduler's state epoch at which a probe of this workflow
+        # last found nothing runnable of each kind (-1: never).
+        self.idle_map = -1
+        self.idle_reduce = -1
 
     @property
     def has_plan(self) -> bool:
@@ -194,11 +201,27 @@ class WohaScheduler(WorkflowScheduler):
         self._queue = DoubleSkipList(map_factory=factory)
         self._records: Dict[str, _WorkflowRecord] = {}
         self.assign_calls = 0
+        # Bumped by every note_state_change; a record stamped with the
+        # current epoch for a kind is proven idle for that kind.
+        self._epoch = 0
 
     def attach_contracts(self, checker) -> None:
         """Check the DSL's cross-link consistency after every queue mutation."""
         super().attach_contracts(checker)
         self._queue.attach_contracts(checker)
+
+    def note_state_change(self) -> None:
+        """Invalidate the idle hints and every workflow's idle stamp.
+
+        ``select_task`` skips a workflow stamped with the current epoch for
+        the requested kind, so this must fire on every path that can give
+        a workflow a runnable task: workflow or wjob submission, map-phase
+        or job completion, plan install, and tracker kill or revive.  A
+        launch only takes work away, and a mid-phase completion adds none
+        (DESIGN.md §10, §12).
+        """
+        super().note_state_change()
+        self._epoch += 1
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -258,6 +281,8 @@ class WohaScheduler(WorkflowScheduler):
         advanced = self._advance_ct_heads(now)
         tracing = self.tracer.enabled
         queue = self._queue
+        epoch = self._epoch
+        reduce = kind is TaskKind.REDUCE
         # Serve the largest lag first, probing the head without building the
         # generator: the common case is that the head has a runnable task.
         # The per-workflow scan is bounded by that workflow's job count.
@@ -267,28 +292,38 @@ class WohaScheduler(WorkflowScheduler):
                 self._record_decision(kind, now, None, None, [], advanced)
             return None
         record: _WorkflowRecord = head.payload
-        task = _pick_task_in_workflow(record, kind)
-        if task is not None:
-            if tracing:
-                self._record_decision(kind, now, record, task, [], advanced)
-            return task
-        # Skip workflows with nothing runnable of this kind (work
-        # conservation).  This walk past a prefix of unrunnable workflows
-        # is the §IV-B work-conservation exception to the O(log n_w) claim.
-        # Every workflow before the chosen one is skipped, so the traced
-        # ``skipped`` list doubles as the queue position.
-        skipped = [record.wip.name] if tracing else None
-        first = True
-        for entry in queue.iter_by_priority():
-            if first:  # the head was already probed (and proved empty)
-                first = False
-                continue
-            record = entry.payload
+        if (record.idle_reduce if reduce else record.idle_map) != epoch:
             task = _pick_task_in_workflow(record, kind)
             if task is not None:
                 if tracing:
-                    self._record_decision(kind, now, record, task, skipped, advanced)
+                    self._record_decision(kind, now, record, task, [], advanced)
                 return task
+            if reduce:
+                record.idle_reduce = epoch
+            else:
+                record.idle_map = epoch
+        # Skip workflows with nothing runnable of this kind (work
+        # conservation).  This walk past a prefix of unrunnable workflows
+        # is the §IV-B work-conservation exception to the O(log n_w) claim.
+        # A workflow already proven idle for this kind since the last state
+        # change is skipped without a probe.  Every workflow before the
+        # chosen one is skipped, so the traced ``skipped`` list doubles as
+        # the queue position.
+        skipped = [record.wip.name] if tracing else None
+        entries = queue.iter_by_priority()
+        next(entries)  # the head, already probed or proven idle
+        for entry in entries:
+            record = entry.payload
+            if (record.idle_reduce if reduce else record.idle_map) != epoch:
+                task = _pick_task_in_workflow(record, kind)
+                if task is not None:
+                    if tracing:
+                        self._record_decision(kind, now, record, task, skipped, advanced)
+                    return task
+                if reduce:
+                    record.idle_reduce = epoch
+                else:
+                    record.idle_map = epoch
             if tracing:
                 skipped.append(record.wip.name)
         if tracing:

@@ -25,6 +25,22 @@ class OrderedMap(abc.ABC):
     def delete(self, key: Any) -> Any:
         """Remove a key, returning its value.  Raises ``KeyError`` if absent."""
 
+    def rekey(self, old_key: Any, new_key: Any, value: Any) -> None:
+        """Move the entry under ``old_key`` to ``new_key``, storing ``value``.
+
+        Raises ``KeyError`` (leaving the map unchanged) if ``old_key`` is
+        absent or ``new_key`` is taken by another entry.  This default is
+        :meth:`delete` then :meth:`insert`; a back-end that can move an
+        entry whose neighbours stay the same without relinking it
+        overrides it.
+        """
+        old_value = self.delete(old_key)
+        try:
+            self.insert(new_key, value)
+        except (KeyError, TypeError):
+            self.insert(old_key, old_value)
+            raise
+
     @abc.abstractmethod
     def peek_head(self) -> Optional[Tuple[Any, Any]]:
         """The (key, value) with the smallest key, or ``None`` when empty."""

@@ -23,6 +23,7 @@ and negation turns "largest lag first" into the maps' ascending order.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from repro.analysis.contracts import NULL_CONTRACTS
@@ -30,6 +31,9 @@ from repro.structures.base import OrderedMap
 from repro.structures.skiplist import DeterministicSkipList
 
 __all__ = ["DoubleEntry", "DoubleSkipList"]
+
+#: The entry of an ordered map's ``(key, entry)`` item.
+_VALUE = itemgetter(1)
 
 
 class DoubleEntry:
@@ -147,15 +151,15 @@ class DoubleSkipList:
     def iter_by_priority(self) -> Iterator[DoubleEntry]:
         """All workflows, largest lag first (used for work-conserving scans).
 
-        Lazy: the generator costs O(1) to create; consumers pay per element
+        Lazy: the iterator costs O(1) to create; consumers pay per element
         drawn.  ``WohaScheduler.select_task`` stops at the first runnable
         workflow — Algorithm 2's work-conserving walk.
         """
-        return (entry for _key, entry in self._priority_list.items())
+        return map(_VALUE, self._priority_list.items())
 
     def iter_by_ct(self) -> Iterator[DoubleEntry]:
         """All workflows, soonest requirement change first."""
-        return (entry for _key, entry in self._ct_list.items())
+        return map(_VALUE, self._ct_list.items())
 
     # -- the two update paths of Algorithm 2 ----------------------------------
 
@@ -166,7 +170,10 @@ class DoubleSkipList:
         (O(1)); the reinsertion and the priority-list move are O(log n).
         Each list is touched only when its key actually changes — an
         unchanged key means an identical position, so the remove+reinsert
-        would be a structural no-op.
+        would be a structural no-op.  A changed key moves by
+        :meth:`~repro.structures.base.OrderedMap.rekey`, in place when the
+        entry keeps its neighbours; the list moves before the entry's
+        fields change, so a ``KeyError`` leaves both consistent.
         """
         ct_list = self._ct_list
         head = ct_list.peek_head()
@@ -178,14 +185,15 @@ class DoubleSkipList:
         if ct_same and priority_same:
             return entry  # nothing moved: no churn, nothing to re-check
         if not ct_same:
-            ct_list.pop_head()
-            entry.ct = new_ct
-            ct_list.insert(entry.ct_key, entry)
+            ct_key = (new_ct, entry.item_id)
+            ct_list.rekey(entry.ct_key, ct_key, entry)
+            entry._ct = new_ct
+            entry.ct_key = ct_key
         if not priority_same:
-            priority_list = self._priority_list
-            priority_list.delete(entry.priority_key)
-            entry.priority = new_priority
-            priority_list.insert(entry.priority_key, entry)
+            priority_key = (-new_priority, entry.item_id)
+            self._priority_list.rekey(entry.priority_key, priority_key, entry)
+            entry._priority = new_priority
+            entry.priority_key = priority_key
         if self.contracts.enabled:
             self.contracts.check_dsl(self)
         return entry
@@ -194,22 +202,18 @@ class DoubleSkipList:
         """Reposition one workflow in the priority list only.
 
         Used after a task assignment (``rho += 1`` so the lag drops by one).
-        When the workflow is the current priority head — the common case,
-        since assignments go to the head — the deletion is O(1).  An
-        unchanged priority returns immediately (the common case for
-        unplanned workflows, whose lag is pinned at -inf).
+        The workflow is usually the priority head, and its lag usually
+        stays ahead of the next workflow's; the move is then an in-place
+        re-key.  An unchanged priority returns immediately (the common case
+        for unplanned workflows, whose lag is pinned at -inf).
         """
         entry = self._entries[item_id]
         if new_priority == entry._priority:
             return entry
-        priority_list = self._priority_list
-        head = priority_list.peek_head()
-        if head is not None and head[0] == entry.priority_key:
-            priority_list.pop_head()
-        else:
-            priority_list.delete(entry.priority_key)
-        entry.priority = new_priority
-        priority_list.insert(entry.priority_key, entry)
+        priority_key = (-new_priority, item_id)
+        self._priority_list.rekey(entry.priority_key, priority_key, entry)
+        entry._priority = new_priority
+        entry.priority_key = priority_key
         if self.contracts.enabled:
             self.contracts.check_dsl(self)
         return entry
@@ -220,10 +224,10 @@ class DoubleSkipList:
         entry = self._entries[item_id]
         if new_ct == entry._ct:
             return entry
-        ct_list = self._ct_list
-        ct_list.delete(entry.ct_key)
-        entry.ct = new_ct
-        ct_list.insert(entry.ct_key, entry)
+        ct_key = (new_ct, item_id)
+        self._ct_list.rekey(entry.ct_key, ct_key, entry)
+        entry._ct = new_ct
+        entry.ct_key = ct_key
         if self.contracts.enabled:
             self.contracts.check_dsl(self)
         return entry
@@ -243,4 +247,4 @@ class DoubleSkipList:
         for checkable in (self._ct_list, self._priority_list):
             check = getattr(checkable, "check_invariants", None)
             if check is not None:
-                check()  # repro: calls[DeterministicSkipList.check_invariants, repro.structures.avl.AvlTree.check_invariants]
+                check()  # repro: calls[DeterministicSkipList.check_invariants, repro.structures.avl.AvlTree.check_invariants, repro.structures.naive.SortedListMap.check_invariants]

@@ -59,3 +59,10 @@ class SortedListMap(OrderedMap):
 
     def items(self) -> Iterator[Tuple[Any, Any]]:
         return iter(zip(list(self._keys), list(self._values)))
+
+    def check_invariants(self) -> None:
+        """Assert strictly ascending keys and one value per key."""
+        keys = self._keys
+        assert len(keys) == len(self._values), "key/value lists differ in length"
+        for a, b in zip(keys, keys[1:]):
+            assert a < b, f"keys not strictly ascending at {a!r} >= {b!r}"

@@ -23,6 +23,13 @@ Implementation notes (documented deviations, none visible through the API):
   element's left gap is empty at every level, so removing its tower can
   only shrink gaps.  This is the cheap ``D^h`` operation the Double Skip
   List's complexity analysis (paper §IV-B) counts as O(1).
+* :meth:`DeterministicSkipList.rekey` moves an entry to a new key with one
+  search.  When the new key still falls strictly between the entry's
+  level-0 neighbours it rewrites the key along the entry's tower in place:
+  every level's order and every gap are unchanged, so nothing is unlinked
+  or repaired.  Otherwise it unlinks the tower through the predecessors it
+  already found and inserts under the new key — the worst case stays
+  O(log n).  This is the Double Skip List's priority update.
 """
 
 from __future__ import annotations
@@ -93,19 +100,6 @@ class DeterministicSkipList(OrderedMap):
             new_head = _Node(None, right=self._tail, down=self._heads[-1])
             self._heads.append(new_head)
 
-    def _gap_size(self, upper: _Node, bound_key: Any, cap: int) -> int:
-        """Count level-below nodes strictly between ``upper``'s tower and the
-        tower keyed ``bound_key``, stopping at ``cap + 1`` — callers only ask
-        "at least / more than ``cap``", so no node list is materialised."""
-        count = 0
-        node = upper.down.right
-        while node.key != bound_key:
-            count += 1
-            if count > cap:
-                break
-            node = node.right
-        return count
-
     def _raise_middle(self, upper: _Node) -> _Node:
         """Raise the 2nd element of the gap right of ``upper`` one level up.
 
@@ -138,8 +132,14 @@ class DeterministicSkipList(OrderedMap):
                     right = x.right
                 if right.key == key:
                     raise KeyError(f"duplicate key {key!r}")
-                # Top-down split: never descend into a full gap.
-                if self._gap_size(x, right.key, cap=2) >= 3:
+                # Top-down split: never descend into a full gap, i.e. one
+                # with >= 3 level-below nodes strictly between the towers of
+                # ``x`` and ``right`` (tower nodes are linked by ``down``, so
+                # identity marks the gap's end; the tail's ``down`` is the
+                # tail).
+                stop = right.down
+                node = x.down.right
+                if node is not stop and node.right is not stop and node.right.right is not stop:
                     raised = self._raise_middle(x)
                     if raised.key < key:
                         x = raised
@@ -163,37 +163,95 @@ class DeterministicSkipList(OrderedMap):
         victim = preds[0].right
         if victim.key != key:
             raise KeyError(key)
-        value = victim.value
-        # Unlink the whole tower.
-        tower_top = 0
-        # Loop over the tower height, which is O(log n_max), not O(n).
-        for level, pred in enumerate(preds):
-            if pred.right.key == key:
-                pred.right = pred.right.right
-                tower_top = level
-        self._len -= 1
-        # Repair oversized merged gaps bottom-up.  Level l's repair can grow
-        # the gap at l+1, so keep going while changes happen below.
-        level = 1
-        dirty_below = True
+        self._unlink(preds, victim)
+        return victim.value
+
+    def rekey(self, old_key: Any, new_key: Any, value: Any) -> None:
+        """Move ``old_key``'s entry to ``new_key`` with one search: in place
+        when it keeps its level-0 neighbours, else unlink + insert."""
+        if new_key is None:
+            raise TypeError("None is not a valid key")
+        preds = self._find_preds(old_key)
+        pred = preds[0]
+        victim = pred.right
+        if victim.key != old_key:
+            raise KeyError(old_key)
+        succ = victim.right
+        if (pred is self._heads[0] or pred.key < new_key) and (
+            succ is self._tail or new_key < succ.key
+        ):
+            # Same neighbours at level 0, hence at every level it reaches:
+            # rewrite the tower's keys bottom up, nothing is relinked.
+            victim.key = new_key
+            victim.value = value
+            below = victim
+            # Climbs the tower: O(log n_max) iterations.
+            for level in range(1, len(preds)):
+                node = preds[level].right
+                if node.down is not below:
+                    break
+                node.key = new_key
+                below = node
+            return
+        old_value = victim.value
+        self._unlink(preds, victim)
+        try:
+            self.insert(new_key, value)
+        except (KeyError, TypeError):
+            # ``new_key`` is taken or incomparable: put the entry back.
+            self.insert(old_key, old_value)
+            raise
+
+    def _unlink(self, preds: List[_Node], victim: _Node) -> None:
+        """Remove ``victim``'s tower given its per-level predecessors, then
+        repair the gaps the removal merged."""
         heads = self._heads  # grown/shrunk in place, never rebound
-        grow_if_needed = self._grow_if_needed
-        while level <= tower_top + 1 or dirty_below:
+        # Unlink the tower, bottom up, stopping at the first level it does
+        # not reach: O(tower height) iterations.
+        preds[0].right = victim.right
+        below = victim
+        tower_top = 0
+        for level in range(1, len(preds)):
+            pred = preds[level]
+            node = pred.right
+            if node.down is not below:
+                break
+            pred.right = node.right
+            below = node
+            tower_top = level
+        self._len -= 1
+        # Repair oversized merged gaps (> 3 level-below nodes) bottom-up.
+        # Level l's repair can grow the gap at l+1, so keep going while
+        # changes happen below.  A raise into the empty top level makes the
+        # next iteration grow a fresh one.  The head's tower has an empty
+        # gap on its left at every level, so removing it grows no gap.
+        last = 0 if preds[0] is heads[0] else tower_top + 1
+        level = 1
+        dirty_below = last > 0
+        while level <= last or dirty_below:
             if level >= len(heads):
-                grow_if_needed()
+                self._grow_if_needed()
                 if level >= len(heads):
                     break
             pred = preds[level] if level < len(preds) else heads[level]
             dirty_below = False
             while True:
-                if self._gap_size(pred, pred.right.key, cap=3) <= 3:
+                stop = pred.right.down
+                node = pred.down.right
+                if (
+                    node is stop
+                    or node.right is stop
+                    or node.right.right is stop
+                    or node.right.right.right is stop
+                ):
                     break
                 pred = self._raise_middle(pred)
                 dirty_below = True
             level += 1
-        self._shrink()
-        grow_if_needed()
-        return value
+        # Only a tower whose top level it leaves empty lowers the height
+        # (every level above an empty one is empty too).
+        if heads[tower_top].right is self._tail:
+            self._shrink()
 
     def _find_preds(self, key: Any) -> List[_Node]:
         """Per-level strict predecessors of ``key``, bottom first."""

@@ -98,6 +98,34 @@ class TestPrecomputedKey:
         assert (cache.misses, cache.hits, len(cache)) == (1, 2, 1)
 
 
+class TestStructureMemo:
+    ORDER = ("extract", "left", "right", "load")
+
+    def test_second_fingerprint_of_one_object_reuses_the_structure(self):
+        w = diamond()
+        first = PlanCache.fingerprint(w, self.ORDER, 24, ("lpf",))
+        second = PlanCache.fingerprint(w, self.ORDER, 48, ("lpf",))
+        assert second[0] is first[0]
+        assert first[1:] != second[1:]
+
+    def test_equal_but_distinct_workflow_gives_an_equal_key(self):
+        a, b = diamond("a"), diamond("b")
+        key_a = PlanCache.fingerprint(a, self.ORDER, 24, ("lpf",))
+        key_b = PlanCache.fingerprint(b, self.ORDER, 24, ("lpf",))
+        assert key_a == key_b and hash(key_a) == hash(key_b)
+        assert key_a[0] is not key_b[0]
+
+    def test_memo_does_not_outlive_the_workflow(self):
+        from repro.core import plancache
+
+        w = diamond()
+        PlanCache.fingerprint(w, self.ORDER, 24)
+        assert w in plancache._STRUCTURES
+        before = len(plancache._STRUCTURES)
+        del w
+        assert len(plancache._STRUCTURES) == before - 1
+
+
 class TestLru:
     def test_eviction_order_is_least_recently_used(self):
         cache = PlanCache(capacity=2)

@@ -11,11 +11,15 @@ the production loops and on the frozen per-call loops of
 must launch the same tasks at the same times on the same trackers and end
 with equal stats, makespan and event count.
 
-``WohaScheduler.select_task`` walks the priority list once, traced or not;
-the same comparison against the frozen two-walk kernel of
-:mod:`tests.reference_woha` pins its decisions and, traced, its
-``decision`` payloads (queue position and skipped workflows) byte for
-byte.
+``WohaScheduler.select_task`` walks the priority list once, traced or not,
+and skips without a probe every workflow proven idle for the requested kind
+since the scheduler's last ``note_state_change``; the same comparison
+against the frozen two-walk kernel of :mod:`tests.reference_woha`, which
+probes every workflow, pins its decisions and, traced, its ``decision``
+payloads (queue position and skipped workflows) byte for byte.  It runs on
+plain, failure-injected and speculative runs in both submission modes, so
+a state change that stopped resetting the idle memo would show up as a
+diverging launch.
 """
 
 import random
@@ -213,3 +217,58 @@ def test_woha_kernel_matches_two_walk_reference(sched_name, mode, heartbeat, tra
         # and position payloads go untested.
         decisions = result.tracer.events("decision")
         assert any(event["skipped"] and event["task"] for event in decisions)
+
+
+#: Two trackers die while work runs and come back later: the kill re-queues
+#: running tasks and re-runs lost map outputs, the revive adds slots.
+OUTAGES = (Outage(time=12.0, tracker_id=0, down_for=40.0),
+           Outage(time=31.5, tracker_id=2, down_for=25.0))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("mode", ["oozie", "woha"])
+@pytest.mark.parametrize("sched_name", ["woha-dsl", "woha-bst", "woha-replan"])
+def test_woha_kernel_matches_two_walk_reference_under_outages(sched_name, mode, trace, seed):
+    assert_matches_reference(use_reference=use_reference_select_task, sched_name=sched_name,
+                             mode=mode, heartbeat=3.0, trace=trace, seed=seed, outages=OUTAGES)
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("heartbeat", [3.0, INF], ids=["hb3", "hbinf"])
+@pytest.mark.parametrize("mode", ["oozie", "woha"])
+@pytest.mark.parametrize("sched_name", ["woha-dsl", "woha-replan"])
+def test_woha_kernel_matches_two_walk_reference_with_speculation(sched_name, mode, heartbeat,
+                                                                  trace):
+    launches, _, _ = run_once(sched_name=sched_name, mode=mode, heartbeat=heartbeat,
+                              trace=trace, speculate=True)
+    assert any(speculative for *_, speculative in launches)
+    assert_matches_reference(use_reference=use_reference_select_task, sched_name=sched_name,
+                             mode=mode, heartbeat=heartbeat, trace=trace, speculate=True)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 50),
+    sched_name=st.sampled_from(["woha-dsl", "woha-list", "woha-replan"]),
+    mode=st.sampled_from(["oozie", "woha"]),
+    trace=st.booleans(),
+    speculate=st.booleans(),
+    outage_plan=st.lists(
+        st.tuples(
+            st.floats(1.0, 90.0).map(lambda t: round(t, 1)),  # kill time
+            st.floats(5.0, 60.0).map(lambda t: round(t, 1)),  # downtime
+        ),
+        max_size=2,
+    ),
+)
+def test_woha_kernel_matches_two_walk_reference_under_random_failures(
+    seed, sched_name, mode, trace, speculate, outage_plan
+):
+    outages = tuple(
+        Outage(time=kill_time, tracker_id=i, down_for=down_for)
+        for i, (kill_time, down_for) in enumerate(outage_plan)
+    )
+    assert_matches_reference(use_reference=use_reference_select_task, sched_name=sched_name,
+                             mode=mode, heartbeat=3.0, trace=trace, seed=seed, outages=outages,
+                             speculate=speculate)

@@ -5,7 +5,9 @@ the old one.  Elision must be *invisible*: any op sequence replayed against
 the production DSL and the always-churning oracle of
 :class:`tests.reference_woha.ChurningDoubleSkipList` has to leave both
 orderings identical, and a whole scheduler run on top of the eliding queue
-has to emit byte-identical decision traces.
+has to emit byte-identical decision traces.  The op sequences also nudge
+and jump keys, so the production DSL's re-keys (in place, or falling back
+to unlink + insert) meet the oracle's remove + reinsert.
 """
 
 from hypothesis import given, settings
@@ -44,7 +46,8 @@ def test_elision_on_and_off_keep_identical_orders(ops, data):
     live = set()
     for item, priority, ct in ops:
         choice = data.draw(
-            st.sampled_from(["insert", "remove", "upd_p", "upd_ct", "upd_head", "same_p", "same_ct"])
+            st.sampled_from(["insert", "remove", "upd_p", "upd_ct", "upd_head", "same_p", "same_ct",
+                             "nudge_p", "p_to_head", "p_to_tail", "nudge_ct", "nudge_head"])
         )
         key = f"i{item}"
         if choice == "insert" and key not in live:
@@ -76,8 +79,30 @@ def test_elision_on_and_off_keep_identical_orders(ops, data):
             victim = data.draw(st.sampled_from(sorted(live)))
             for dsl in (eliding, plain):
                 dsl.update_ct(victim, dsl.get(victim).ct)
+        # The re-key paths: a nudge mostly keeps the entry between its
+        # neighbours (an in-place re-key) and sometimes passes one; the
+        # jumps move it to the head or the tail of the priority list.
+        elif choice == "nudge_p" and live:
+            victim = data.draw(st.sampled_from(sorted(live)))
+            for dsl in (eliding, plain):
+                dsl.update_priority(victim, dsl.get(victim).priority - 0.25)
+        elif choice in ("p_to_head", "p_to_tail") and live:
+            victim = data.draw(st.sampled_from(sorted(live)))
+            priorities = [e.priority for e in eliding.iter_by_priority()]
+            target = max(priorities) + 1 if choice == "p_to_head" else min(priorities) - 1
+            for dsl in (eliding, plain):
+                dsl.update_priority(victim, target)
+        elif choice == "nudge_ct" and live:
+            victim = data.draw(st.sampled_from(sorted(live)))
+            for dsl in (eliding, plain):
+                dsl.update_ct(victim, dsl.get(victim).ct + 0.25)
+        elif choice == "nudge_head" and live:
+            head = eliding.head_by_ct()
+            new_ct, new_priority = head.ct + 0.25, head.priority - 0.25
+            for dsl in (eliding, plain):
+                dsl.update_head_ct(new_ct, new_priority)
         assert snapshot(eliding) == snapshot(plain)
-    eliding.check_invariants()
+        eliding.check_invariants()
     plain.check_invariants()
 
 
