@@ -129,9 +129,9 @@ def _chain_time(
 def _seed_lo_pooled(problem: _SimProblem, deadline: float, max_slots: int) -> int:
     """Smallest cap the analytic bounds cannot rule out (pooled slots).
 
-    Reads the problem's cached ``total_work`` and ``critical_chain``, which
-    :func:`_graham_ceiling`'s inputs share, so a search walks the DAG at
-    most once (and not at all on a retained problem).
+    Reads the problem's ``total_work`` and ``critical_chain``, which share
+    :func:`_graham_ceiling`'s inputs through the workflow's memo, so the
+    DAG is walked at most once per workflow object, across searches.
     """
     lo = 1
     if deadline <= 0:

@@ -25,7 +25,6 @@ scheduler counters; attaching a tracer mirrors each event into its
 
 from __future__ import annotations
 
-import weakref
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
@@ -41,30 +40,19 @@ PlanCacheEntry = Tuple[Optional[Any], ProgressPlan]
 
 _Key = Tuple[Any, ...]
 
-#: Each live ``Workflow``'s structure tuple, built once per object.  A
-#: ``Workflow`` is immutable and hashes by identity, so the serve tier's
-#: parse memo, which hands back the same object for a repeated body, makes
-#: every later fingerprint of it a lookup.
-_STRUCTURES: "weakref.WeakKeyDictionary[Workflow, Tuple[Any, ...]]" = weakref.WeakKeyDictionary()
-
-
 def _structure(workflow: Workflow) -> Tuple[Any, ...]:
-    """Per-job structure in definition order, memoized per object."""
-    structure = _STRUCTURES.get(workflow)
-    if structure is None:
-        structure = tuple(
-            (
-                job.name,
-                job.num_maps,
-                job.num_reduces,
-                job.map_duration,
-                job.reduce_duration,
-                tuple(sorted(job.prerequisites)),
-            )
-            for job in workflow.jobs
+    """Per-job structure in definition order."""
+    return tuple(
+        (
+            job.name,
+            job.num_maps,
+            job.num_reduces,
+            job.map_duration,
+            job.reduce_duration,
+            tuple(sorted(job.prerequisites)),
         )
-        _STRUCTURES[workflow] = structure
-    return structure
+        for job in workflow.jobs
+    )
 
 
 class PlanCache:
@@ -107,9 +95,14 @@ class PlanCache:
         cap-search flag, ...) — and nothing it does not: neither the
         workflow name nor its absolute submit time / deadline, so recurrent
         instances of one template collide by construction.
+
+        The structure tuple is memoized on the workflow
+        (:meth:`~repro.workflow.model.Workflow.derived`), so fingerprinting
+        an object again — the serve tier's parse memo hands back the same
+        object for a resent body — builds only the outer tuple.
         """
         return (
-            _structure(workflow),
+            workflow.derived(_structure),
             tuple(job_order),
             workflow.relative_deadline,
             total_slots,

@@ -66,8 +66,10 @@ class _SimProblem:
 
     The cap search's analytic bounds read three more structure-only inputs
     (:attr:`total_work`, :attr:`longest_path_weights`,
-    :attr:`critical_chain`).  Each is computed on first use, at most once
-    per problem, so a setup retained across searches walks the DAG once.
+    :attr:`critical_chain`).  The first two are memoized on the workflow
+    itself (:meth:`~repro.workflow.model.Workflow.derived`), shared with
+    LPF and with every other problem built over the same object; the chain
+    is resolved to jobs on first use, at most once per problem.
     """
 
     __slots__ = (
@@ -82,8 +84,6 @@ class _SimProblem:
         "name_of",
         "dependents",
         "root_ranks",
-        "_total_work",
-        "_weights",
         "_chain",
     )
 
@@ -119,33 +119,24 @@ class _SimProblem:
             # cache and the byte-equivalence oracle.
             self.dependents[r] = tuple(rank[d] for d in sorted(workflow.dependents(wjob.name)))
         self.root_ranks = tuple(rank[root] for root in workflow.roots())
-        self._total_work: Optional[float] = None
-        self._weights: Optional[Dict[str, float]] = None
         self._chain: Optional[Tuple[WJob, ...]] = None
 
     @property
     def total_work(self) -> float:
         """The workflow's total slot-seconds (``Workflow.total_work``)."""
-        if self._total_work is None:
-            self._total_work = self.workflow.total_work
-        return self._total_work
+        return self.workflow.total_work
 
     @property
     def longest_path_weights(self) -> Dict[str, float]:
         """:func:`~repro.workflow.dag.longest_path_weights` of the workflow."""
-        if self._weights is None:
-            self._weights = longest_path_weights(self.workflow)
-        return self._weights
+        return longest_path_weights(self.workflow)
 
     @property
     def critical_chain(self) -> Tuple[WJob, ...]:
         """The jobs along :func:`~repro.workflow.dag.critical_path`."""
         if self._chain is None:
             workflow = self.workflow
-            self._chain = tuple(
-                workflow.job(name)
-                for name in critical_path(workflow, self.longest_path_weights)
-            )
+            self._chain = tuple(workflow.job(name) for name in critical_path(workflow))
         return self._chain
 
     def run(

@@ -6,6 +6,11 @@ surface is five routes.  Persistent connections (HTTP keep-alive) are
 supported because the load generator runs closed-loop clients that reuse
 one socket for thousands of requests; ``Connection: close`` is honoured.
 
+Bodies are framed by ``Content-Length`` only.  A request carrying
+``Transfer-Encoding`` (chunked or otherwise) gets a single 400 that names
+the header, and the connection is closed: its body cannot be delimited,
+so nothing after its head can be trusted as the next request.
+
 Routes:
 
 ``GET /healthz``
@@ -91,6 +96,11 @@ async def _read_request(
         if not sep:
             raise _BadRequest(f"malformed header line {line!r}")
         headers[name.strip().lower()] = value.strip()
+    coding = headers.get("transfer-encoding")
+    if coding is not None:
+        raise _BadRequest(
+            f"Transfer-Encoding {coding!r} is not supported; send a Content-Length body"
+        )
     length_text = headers.get("content-length", "0")
     try:
         length = int(length_text)
@@ -196,7 +206,6 @@ class PlanServer:
     ) -> bytes:
         split = urlsplit(target)
         path = split.path
-        query = parse_qs(split.query)
         try:
             if path == "/healthz":
                 if method != "GET":
@@ -209,7 +218,7 @@ class PlanServer:
             if path == "/v1/trace":
                 if method != "GET":
                     return _json_response(405, {"error": "use GET"}, close=close)
-                return self._trace(query, close)
+                return self._trace(split.query, close)
             if path == "/v1/plan":
                 if method != "POST":
                     return _json_response(405, {"error": "use POST"}, close=close)
@@ -224,7 +233,8 @@ class PlanServer:
         except Exception as exc:  # surface planner faults as 500, keep serving
             return _json_response(500, {"error": f"{type(exc).__name__}: {exc}"}, close=close)
 
-    def _trace(self, query: Dict[str, Any], close: bool) -> bytes:
+    def _trace(self, query_string: str, close: bool) -> bytes:
+        query = parse_qs(query_string)
         try:
             since = int(query.get("since", ["0"])[0])
             limit = int(query.get("limit", ["256"])[0])

@@ -7,7 +7,7 @@ assignment, longest (critical) paths, ancestor/descendant closures.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.workflow.model import Workflow
 
@@ -49,7 +49,15 @@ def longest_path_weights(workflow: Workflow) -> Dict[str, float]:
     The weight of a job is its :attr:`~repro.workflow.model.WJob.serial_length`
     (estimated map time + reduce time), matching LPF's definition of job
     length in §V-C.  The returned value includes the job itself.
+
+    Memoized on the workflow (:meth:`~repro.workflow.model.Workflow.derived`):
+    LPF, the critical path and the cap search's bounds share one walk, and
+    the returned dict is that shared value — do not mutate it.
     """
+    return workflow.derived(_longest_path_weights)
+
+
+def _longest_path_weights(workflow: Workflow) -> Dict[str, float]:
     result: Dict[str, float] = {}
     for name in reversed(workflow.topological_order()):
         job = workflow.job(name)
@@ -59,17 +67,12 @@ def longest_path_weights(workflow: Workflow) -> Dict[str, float]:
     return result
 
 
-def critical_path(
-    workflow: Workflow, weights: Optional[Dict[str, float]] = None
-) -> Tuple[str, ...]:
+def critical_path(workflow: Workflow) -> Tuple[str, ...]:
     """The job names along the heaviest root-to-sink chain.
 
     Ties are broken lexicographically so the result is deterministic.
-    ``weights`` is this workflow's :func:`longest_path_weights`, for
-    callers that already computed them.
     """
-    if weights is None:
-        weights = longest_path_weights(workflow)
+    weights = longest_path_weights(workflow)
     start = min(
         (name for name in workflow.job_names()),
         key=lambda n: (-weights[n], n),

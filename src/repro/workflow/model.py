@@ -16,9 +16,11 @@ recurrence experiments of Fig 12) without cross-talk.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, TypeVar
 
 __all__ = ["WJob", "Workflow", "WorkflowValidationError"]
+
+_T = TypeVar("_T")
 
 
 class WorkflowValidationError(ValueError):
@@ -153,6 +155,8 @@ class Workflow:
                     )
         self._dependents: Dict[str, FrozenSet[str]] = self._compute_dependents()
         self._topo_order: Tuple[str, ...] = self._toposort()
+        #: fn -> fn(self), filled by :meth:`derived`.
+        self._derived: Dict[Callable[["Workflow"], Any], Any] = {}
 
     # -- structure -----------------------------------------------------
 
@@ -182,6 +186,23 @@ class Workflow:
             cyclic = sorted(n for n, d in indegree.items() if d > 0)
             raise WorkflowValidationError(f"{self.name}: dependency cycle among {cyclic}")
         return tuple(order)
+
+    def derived(self, fn: Callable[["Workflow"], _T]) -> _T:
+        """``fn(self)``, computed on the first call and memoized per object.
+
+        For pure functions of the workflow — the §V-C priority orders, the
+        longest-path weights, the plan-cache structure key.  A workflow is
+        immutable and hashes by identity, so the memo lives and dies with
+        the object, and a caller that gets the same object back (the serve
+        tier's parse memo, a simulation's workflow pool) pays for each
+        value once.  The value is shared by every caller: never mutate it.
+        """
+        memo = self._derived
+        try:
+            return memo[fn]
+        except KeyError:
+            value = memo[fn] = fn(self)
+            return value
 
     # -- accessors -----------------------------------------------------
 
@@ -229,7 +250,7 @@ class Workflow:
     @property
     def total_work(self) -> float:
         """Total slot-seconds across all wjobs."""
-        return sum(job.total_work for job in self.jobs)
+        return self.derived(_total_work)
 
     @property
     def relative_deadline(self) -> Optional[float]:
@@ -253,3 +274,7 @@ class Workflow:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         dl = "best-effort" if self.deadline is None else f"D={self.deadline:g}"
         return f"Workflow({self.name!r}, jobs={len(self.jobs)}, S={self.submit_time:g}, {dl})"
+
+
+def _total_work(workflow: Workflow) -> float:
+    return sum(job.total_work for job in workflow.jobs)

@@ -132,7 +132,7 @@ def test_analytic_bounds_bracket_simulated_makespan(case, prioritizer):
     order = PRIORITIZERS[prioritizer](workflow)
     _batches, makespan = _SimProblem(workflow, order).run(cap, pooled=True)
     weights = dag.longest_path_weights(workflow)
-    chain = [workflow.job(name) for name in dag.critical_path(workflow, weights)]
+    chain = [workflow.job(name) for name in dag.critical_path(workflow)]
     area = workflow.total_work / cap
     lower = max(area, _chain_time(chain, cap, cap))
     upper = area + max(weights.values())
@@ -216,12 +216,10 @@ class TestSharedProblemInputs:
         assert [job.name for job in problem.critical_chain] == list(dag.critical_path(w))
 
     def test_a_shared_problem_walks_the_dag_once(self, monkeypatch):
-        import repro.core.plangen as plangen
-
         walks = []
-        real = plangen.longest_path_weights
+        real = dag._longest_path_weights
         monkeypatch.setattr(
-            plangen, "longest_path_weights", lambda wf: walks.append(wf) or real(wf)
+            dag, "_longest_path_weights", lambda wf: walks.append(wf) or real(wf)
         )
         w = self._workflow()
         order = PRIORITIZERS["lpf"](w)
@@ -234,5 +232,6 @@ class TestSharedProblemInputs:
             )
         split = find_min_cap_split(w, 64, relative_deadline=150.0, job_order=order, problem=problem)
         assert split == find_min_cap_split(w, 64, relative_deadline=150.0, job_order=order)
-        # One walk for the shared problem, one per unshared search.
-        assert len(walks) == 1 + 3 + 1
+        # One walk for the workflow object, shared by LPF, the shared
+        # problem and every unshared search's fresh problem.
+        assert walks == [w]

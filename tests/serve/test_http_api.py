@@ -239,6 +239,30 @@ class TestProtocolEdges:
 
         serve(check)
 
+    def test_chunked_request_is_one_400_naming_the_header(self):
+        body = workflow_to_xml(diamond()).encode("utf-8")
+        head = (
+            "POST /v1/plan HTTP/1.1\r\nHost: test\r\n"
+            "Content-Type: application/xml\r\nTransfer-Encoding: chunked\r\n\r\n"
+        )
+        chunked = f"{len(body):x}\r\n".encode("latin-1") + body + b"\r\n0\r\n\r\n"
+
+        async def check(port, service):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(head.encode("latin-1") + chunked)
+            await writer.drain()
+            status, headers, payload = await _read_response(reader)
+            assert status == 400 and headers["connection"] == "close"
+            assert "Transfer-Encoding" in json.loads(payload)["error"]
+            # Exactly one response: the chunk bytes are never parsed as a
+            # second request, and the server closes its side.
+            assert await reader.read() == b""
+            writer.close()
+            await writer.wait_closed()
+            assert service.requests == 0
+
+        serve(check)
+
     def test_connection_close_honoured(self):
         async def check(port, _service):
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
