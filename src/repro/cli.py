@@ -52,14 +52,10 @@ from repro.analysis import RULES, LintError, LintReport, lint_paths, module_key
 from repro.cluster.config import ClusterConfig
 from repro.cluster.simulation import ClusterSimulation
 from repro.core.client import make_planner
-from repro.core.scheduler import NaiveWohaScheduler, WohaScheduler
-from repro.experiments.runner import ExperimentCell, run_grid
+from repro.experiments.runner import SCHEDULER_STACKS, ExperimentCell, _make_stack, run_grid
 from repro.experiments.scenarios import SCENARIOS as SWEEP_SCENARIOS
 from repro.metrics.postmortem import explain_miss
 from repro.metrics.report import format_table
-from repro.schedulers.edf import EdfScheduler
-from repro.schedulers.fair import FairScheduler
-from repro.schedulers.fifo import FifoScheduler
 from repro.workflow.model import Workflow
 from repro.workflow.xmlconfig import parse_workflow_xml
 from repro.workloads.io import load_workflows, save_workflows
@@ -67,14 +63,11 @@ from repro.workloads.yahoo import YahooTraceConfig, generate_yahoo_workflows
 
 __all__ = ["main", "build_parser"]
 
-SCHEDULERS = ("fifo", "fair", "edf", "woha-hlf", "woha-lpf", "woha-mpf")
-
-
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     """Arguments shared by every subcommand that runs a simulation."""
     parser.add_argument("inputs", nargs="*", help="workflow XML files")
     parser.add_argument("--trace", help="JSON workflow-set file (repro trace command output)")
-    parser.add_argument("--scheduler", choices=SCHEDULERS, default="woha-lpf")
+    parser.add_argument("--scheduler", choices=SCHEDULER_STACKS, default="woha-lpf")
     parser.add_argument("--nodes", type=int, default=32)
     parser.add_argument("--map-slots", type=int, default=2, help="map slots per node")
     parser.add_argument("--reduce-slots", type=int, default=1, help="reduce slots per node")
@@ -105,7 +98,7 @@ def _build_simulation(args: argparse.Namespace, trace=False) -> ClusterSimulatio
         reduce_slots_per_node=args.reduce_slots,
         heartbeat_interval=heartbeat,
     )
-    scheduler, mode, planner = _make_scheduler(args.scheduler, args.pool)
+    scheduler, mode, planner = _make_stack(args.scheduler, args.pool)
     return ClusterSimulation(
         config, scheduler, submission=mode, planner=planner, trace=trace,
         contracts=getattr(args, "contracts", False),
@@ -225,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument("--scenario", choices=sorted(SWEEP_SCENARIOS), default="yahoo",
                          help="scenario to profile (default: yahoo)")
-    profile.add_argument("--scheduler", choices=SCHEDULERS, default="woha-lpf")
+    profile.add_argument("--scheduler", choices=SCHEDULER_STACKS, default="woha-lpf")
     profile.add_argument("--seed", type=int, default=0)
     profile.add_argument("--scale", type=float, default=0.25,
                          help="workload scale factor (1.0 = the bench-tier size)")
@@ -243,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--scenario", action="append", choices=sorted(SWEEP_SCENARIOS),
                        help="scenario(s) to include; repeatable (default: all)")
     sweep.add_argument("--scheduler", dest="schedulers", action="append",
-                       choices=SCHEDULERS,
+                       choices=SCHEDULER_STACKS,
                        help="scheduler(s) to include; repeatable "
                             "(default: fifo and woha-lpf)")
     sweep.add_argument("--seeds", type=int, default=1,
@@ -259,18 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the deterministic grid payload to this path")
 
     return parser
-
-
-def _make_scheduler(name: str, pool: str):
-    """Resolve a scheduler name to (scheduler, submission mode, planner)."""
-    if name == "fifo":
-        return FifoScheduler(), "oozie", None
-    if name == "fair":
-        return FairScheduler(), "oozie", None
-    if name == "edf":
-        return EdfScheduler(), "oozie", None
-    prioritizer = name.split("-", 1)[1]
-    return WohaScheduler(), "woha", make_planner(prioritizer, pool=pool)
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:

@@ -340,30 +340,16 @@ class WohaScheduler(WorkflowScheduler):
         advanced: int,
     ) -> None:
         """Emit one traced ``decision`` event; ``record`` is ``None`` for an
-        idle answer."""
-        tracer = self.tracer
+        idle answer.  Every workflow before the served one is skipped, so
+        its queue position is ``len(skipped)``."""
+        queue_len = len(self._queue)
         if record is None:
-            tracer.incr(self.name, "idle_decisions")
-            workflow = task_id = lag = position = None
+            self.trace_decision(kind, now, queue_len, skipped, ct_advances=advanced)
         else:
-            tracer.incr(self.name, "decisions")
-            workflow = record.wip.name
-            task_id = task.task_id
             lag = record.current_priority() if record.has_plan else None
-            position = len(skipped)
-        tracer.record(
-            "decision",
-            now,
-            scheduler=self.name,
-            slot_kind=kind.value,
-            workflow=workflow,
-            task=task_id,
-            lag=lag,
-            queue_len=len(self._queue),
-            position=position,
-            skipped=skipped,
-            ct_advances=advanced,
-        )
+            self.trace_decision(
+                kind, now, queue_len, skipped, len(skipped), record.wip.name, task, lag, advanced
+            )
 
     def on_task_assigned(self, task: Task, now: float) -> None:
         """Lines 20-23: the served workflow's rho grew, so its lag shrank."""
@@ -427,37 +413,14 @@ class NaiveWohaScheduler(WorkflowScheduler):
             task = _pick_task_in_workflow(record, kind)
             if task is not None:
                 if tracing:
-                    lag = self._lag(record, now)
-                    self.tracer.incr(self.name, "decisions")
-                    self.tracer.record(
-                        "decision",
-                        now,
-                        scheduler=self.name,
-                        slot_kind=kind.value,
-                        workflow=record.wip.name,
-                        task=task.task_id,
-                        lag=lag if lag != float("-inf") else None,
-                        queue_len=len(ordered),
-                        position=position,
-                        skipped=skipped,
-                        ct_advances=0,
+                    # An unplanned workflow's -inf lag is recorded as None.
+                    self.trace_decision(
+                        kind, now, len(ordered), skipped, position, record.wip.name, task,
+                        self._lag(record, now),
                     )
                 return task
             if tracing:
                 skipped.append(record.wip.name)
         if tracing:
-            self.tracer.incr(self.name, "idle_decisions")
-            self.tracer.record(
-                "decision",
-                now,
-                scheduler=self.name,
-                slot_kind=kind.value,
-                workflow=None,
-                task=None,
-                lag=None,
-                queue_len=len(ordered),
-                position=None,
-                skipped=skipped,
-                ct_advances=0,
-            )
+            self.trace_decision(kind, now, len(ordered), skipped)
         return None

@@ -52,7 +52,7 @@ __all__ = [
     "run_grid",
 ]
 
-#: Scheduler stacks a cell may name (mirrors the CLI's registry).
+#: Scheduler stacks a cell (or a CLI ``--scheduler``) may name.
 SCHEDULER_STACKS = ("fifo", "fair", "edf", "woha-hlf", "woha-lpf", "woha-mpf")
 
 
@@ -168,8 +168,9 @@ class GridResult:
         return json.dumps(self.to_payload(), sort_keys=True)
 
 
-def _make_stack(name: str):
-    """Resolve a scheduler name to (scheduler, submission mode, planner)."""
+def _make_stack(name: str, pool: str = "pooled"):
+    """Resolve a scheduler name to (scheduler, submission mode, planner);
+    ``pool`` picks the WOHA planner's slot pool (Algorithm 1 or split)."""
     if name == "fifo":
         return FifoScheduler(), "oozie", None
     if name == "fair":
@@ -177,7 +178,7 @@ def _make_stack(name: str):
     if name == "edf":
         return EdfScheduler(), "oozie", None
     prioritizer = name.split("-", 1)[1]
-    return WohaScheduler(), "woha", make_planner(prioritizer)
+    return WohaScheduler(), "woha", make_planner(prioritizer, pool=pool)
 
 
 # repro: entrypoint[fork]

@@ -10,7 +10,7 @@ simulation.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Union
 
 from repro.analysis.contracts import NULL_CONTRACTS
 from repro.cluster.tasks import Task, TaskKind
@@ -33,7 +33,8 @@ class WorkflowScheduler(abc.ABC):
 
     Implementations hold a :mod:`repro.trace` tracer (the no-op
     :data:`~repro.trace.NULL_TRACER` until one is attached) and emit one
-    ``decision`` event per ``select_task`` call when it is enabled.
+    ``decision`` event per ``select_task`` call through
+    :meth:`trace_decision` when it is enabled.
     Instrumentation must be strictly observational: attaching a tracer may
     never change which task a call returns.
     """
@@ -121,6 +122,34 @@ class WorkflowScheduler(abc.ABC):
         asking until the next scheduling event.  Implementations must be
         work-conserving unless they explicitly document otherwise.
         """
+
+    def trace_decision(
+        self,
+        kind: TaskKind,
+        now: float,
+        queue_len: int,
+        skipped: Optional[List[str]],
+        position: Optional[int] = None,
+        workflow: Optional[str] = None,
+        task: Optional[Task] = None,
+        lag: Optional[float] = None,
+        ct_advances: int = 0,
+    ) -> None:
+        """Emit one ``decision`` event (fields: :mod:`repro.trace`).
+
+        The single emitter every scheduler's traced path calls; callers
+        guard it with ``self.tracer.enabled``.  ``position`` ``None`` is
+        an idle answer, counted under ``idle_decisions``; any other call
+        counts under ``decisions`` (even with ``task`` ``None``, as when
+        Fair's runnability probe lied).  ``skipped`` is stored as given,
+        so a caller that keeps appending must pass a copy.
+        """
+        tracer = self.tracer
+        tracer.incr(self.name, "idle_decisions" if position is None else "decisions")
+        tracer.record("decision", now, scheduler=self.name, slot_kind=kind.value,
+                      workflow=workflow, task=None if task is None else task.task_id,
+                      lag=lag, queue_len=queue_len, position=position, skipped=skipped,
+                      ct_advances=ct_advances)
 
     def select_tasks(
         self, kind: TaskKind, now: float, limit: int, launch: Callable[[Task], None]

@@ -63,7 +63,9 @@ class EdfScheduler(WorkflowScheduler):
                         break
             if task is not None:
                 if tracing:
-                    self._trace_decision(kind, now, wip.name, task, position, skipped)
+                    self.trace_decision(
+                        kind, now, len(self._order), skipped, position, wip.name, task
+                    )
                 return task
             if tracing:
                 skipped.append(wip.name)
@@ -72,29 +74,11 @@ class EdfScheduler(WorkflowScheduler):
                 task = jip.obtain(kind)
                 if task is not None:
                     if tracing:
-                        self._trace_decision(
-                            kind, now, jip.workflow_name, task, len(self._order), skipped
+                        self.trace_decision(
+                            kind, now, len(self._order), skipped,
+                            len(self._order), jip.workflow_name, task,
                         )
                     return task
         if tracing:
-            self.tracer.incr(self.name, "idle_decisions")
-            self._trace_decision(kind, now, None, None, None, skipped)
+            self.trace_decision(kind, now, len(self._order), skipped)
         return None
-
-    def _trace_decision(self, kind, now, workflow, task, position, skipped) -> None:
-        """Emit one ``decision`` event (EDF has no plan, so ``lag`` is None)."""
-        if task is not None:
-            self.tracer.incr(self.name, "decisions")
-        self.tracer.record(
-            "decision",
-            now,
-            scheduler=self.name,
-            slot_kind=kind.value,
-            workflow=workflow,
-            task=None if task is None else task.task_id,
-            lag=None,
-            queue_len=len(self._order),
-            position=position,
-            skipped=skipped,
-            ct_advances=0,
-        )

@@ -56,36 +56,12 @@ class FairScheduler(WorkflowScheduler):
                 best, best_key, best_position = jip, key, position
         if best is None:
             if tracing:
-                self.tracer.incr(self.name, "idle_decisions")
-                self.tracer.record(
-                    "decision",
-                    now,
-                    scheduler=self.name,
-                    slot_kind=kind.value,
-                    workflow=None,
-                    task=None,
-                    lag=None,
-                    queue_len=len(self._jobs),
-                    position=None,
-                    skipped=skipped,
-                    ct_advances=0,
-                )
+                self.trace_decision(kind, now, len(self._jobs), skipped)
             return None
         task = best.obtain(kind)
         if tracing:
-            self.tracer.incr(self.name, "decisions")
-            self.tracer.record(
-                "decision",
-                now,
-                scheduler=self.name,
-                slot_kind=kind.value,
-                workflow=best.workflow_name,
-                task=None if task is None else task.task_id,
-                lag=None,
-                queue_len=len(self._jobs),
-                position=best_position,
-                skipped=skipped,
-                ct_advances=0,
+            self.trace_decision(
+                kind, now, len(self._jobs), skipped, best_position, best.workflow_name, task
             )
         return task
 
@@ -131,19 +107,9 @@ class FairScheduler(WorkflowScheduler):
             occupancy, submit_time, job_id, position, jip = heapq.heappop(heap)
             task = jip.obtain_map() if use_map else jip.obtain_reduce()
             if tracing:
-                self.tracer.incr(self.name, "decisions")
-                self.tracer.record(
-                    "decision",
-                    now,
-                    scheduler=self.name,
-                    slot_kind=kind.value,
-                    workflow=jip.workflow_name,
-                    task=None if task is None else task.task_id,
-                    lag=None,
-                    queue_len=queue_len,
-                    position=position,
-                    skipped=[jid for _, jid in nonrunnable],
-                    ct_advances=0,
+                self.trace_decision(
+                    kind, now, queue_len, [jid for _, jid in nonrunnable],
+                    position, jip.workflow_name, task,
                 )
             if task is None:
                 # has_runnable lied (defensive; mirrors select_task's
@@ -160,18 +126,5 @@ class FairScheduler(WorkflowScheduler):
             else:
                 insort(nonrunnable, (position, job_id))
         if launched < limit and tracing:
-            self.tracer.incr(self.name, "idle_decisions")
-            self.tracer.record(
-                "decision",
-                now,
-                scheduler=self.name,
-                slot_kind=kind.value,
-                workflow=None,
-                task=None,
-                lag=None,
-                queue_len=queue_len,
-                position=None,
-                skipped=[jid for _, jid in nonrunnable],
-                ct_advances=0,
-            )
+            self.trace_decision(kind, now, queue_len, [jid for _, jid in nonrunnable])
         return launched

@@ -39,67 +39,27 @@ class FifoScheduler(WorkflowScheduler):
 
     def select_task(self, kind: TaskKind, now: float) -> Optional[Task]:
         tracing = self.tracer.enabled
+        use_map = kind.uses_map_slot
         queue = self._queue
-        if not tracing:
-            # Untraced micro-kernel: same walk, same decisions, but no
-            # skipped-list bookkeeping and no per-job property chains —
-            # the reduce probe reads the maintained plain flags directly
-            # (obtain_reduce re-checks them, so a hit stays correct).
-            if kind.uses_map_slot:
-                for jip in queue:
-                    if jip.completed or not jip.has_pending_maps:
-                        continue
-                    task = jip.obtain_map()
-                    if task is not None:
-                        return task
-            else:
-                for jip in queue:
-                    if jip.completed or not jip.map_phase_done or not jip._pending_reduces:
-                        continue
-                    task = jip.obtain_reduce()
-                    if task is not None:
-                        return task
-            return None
-        skipped = []
+        # FIFO queues jobs, not workflows; skipped entries are job ids.
+        skipped: Optional[List[str]] = [] if tracing else None
         for position, jip in enumerate(queue):
             if jip.completed:
                 continue
-            task = jip.obtain(kind)
-            if task is not None:
-                if tracing:
-                    self.tracer.incr(self.name, "decisions")
-                    self.tracer.record(
-                        "decision",
-                        now,
-                        scheduler=self.name,
-                        slot_kind=kind.value,
-                        workflow=jip.workflow_name,
-                        task=task.task_id,
-                        lag=None,
-                        queue_len=len(queue),
-                        position=position,
-                        skipped=skipped,
-                        ct_advances=0,
-                    )
-                return task
+            # The pre-check reads the maintained plain flags instead of a
+            # property chain; obtain_* re-checks them, so a hit stays correct.
+            if jip.has_pending_maps if use_map else jip.map_phase_done and jip._pending_reduces:
+                task = jip.obtain_map() if use_map else jip.obtain_reduce()
+                if task is not None:
+                    if tracing:
+                        self.trace_decision(
+                            kind, now, len(queue), skipped, position, jip.workflow_name, task
+                        )
+                    return task
             if tracing:
-                # FIFO queues jobs, not workflows; skipped entries are job ids.
                 skipped.append(jip.job_id)
         if tracing:
-            self.tracer.incr(self.name, "idle_decisions")
-            self.tracer.record(
-                "decision",
-                now,
-                scheduler=self.name,
-                slot_kind=kind.value,
-                workflow=None,
-                task=None,
-                lag=None,
-                queue_len=len(queue),
-                position=None,
-                skipped=skipped,
-                ct_advances=0,
-            )
+            self.trace_decision(kind, now, len(queue), skipped)
         return None
 
     def select_tasks(
@@ -121,81 +81,28 @@ class FifoScheduler(WorkflowScheduler):
         tracing = self.tracer.enabled
         use_map = kind.uses_map_slot
         queue = self._queue
-        if not tracing:
-            # Untraced micro-kernel of the same single walk (see
-            # select_task): identical launch sequence, no trace payloads.
-            launched = 0
-            if use_map:
-                for jip in queue:
-                    if jip.completed or not jip.has_pending_maps:
-                        continue
-                    while launched < limit:
-                        task = jip.obtain_map()
-                        if task is None:
-                            break
-                        launch(task)  # repro: calls[repro.cluster.jobtracker.JobTracker._launch]
-                        launched += 1
-                    if launched >= limit:
-                        return launched
-            else:
-                for jip in queue:
-                    if jip.completed or not jip.map_phase_done or not jip._pending_reduces:
-                        continue
-                    while launched < limit:
-                        task = jip.obtain_reduce()
-                        if task is None:
-                            break
-                        launch(task)  # repro: calls[repro.cluster.jobtracker.JobTracker._launch]
-                        launched += 1
-                    if launched >= limit:
-                        return launched
-            return launched
-        skipped: List[str] = []
-        launched = 0
         queue_len = len(queue)
+        # Job ids, including jobs this very walk just drained.
+        skipped: Optional[List[str]] = [] if tracing else None
+        launched = 0
         for position, jip in enumerate(queue):
             if jip.completed:
                 continue
-            while launched < limit:
-                task = jip.obtain_map() if use_map else jip.obtain_reduce()
-                if task is None:
-                    break
-                if tracing:
-                    self.tracer.incr(self.name, "decisions")
-                    self.tracer.record(
-                        "decision",
-                        now,
-                        scheduler=self.name,
-                        slot_kind=kind.value,
-                        workflow=jip.workflow_name,
-                        task=task.task_id,
-                        lag=None,
-                        queue_len=queue_len,
-                        position=position,
-                        skipped=list(skipped),
-                        ct_advances=0,
-                    )
-                launch(task)  # repro: calls[repro.cluster.jobtracker.JobTracker._launch]
-                launched += 1
+            if jip.has_pending_maps if use_map else jip.map_phase_done and jip._pending_reduces:
+                while launched < limit:
+                    task = jip.obtain_map() if use_map else jip.obtain_reduce()
+                    if task is None:
+                        break
+                    if tracing:
+                        self.trace_decision(
+                            kind, now, queue_len, list(skipped), position, jip.workflow_name, task
+                        )
+                    launch(task)  # repro: calls[repro.cluster.jobtracker.JobTracker._launch]
+                    launched += 1
             if launched >= limit:
                 return launched
             if tracing:
-                # FIFO queues jobs, not workflows; skipped entries are job
-                # ids (including jobs this very walk just drained).
                 skipped.append(jip.job_id)
         if tracing:
-            self.tracer.incr(self.name, "idle_decisions")
-            self.tracer.record(
-                "decision",
-                now,
-                scheduler=self.name,
-                slot_kind=kind.value,
-                workflow=None,
-                task=None,
-                lag=None,
-                queue_len=queue_len,
-                position=None,
-                skipped=skipped,
-                ct_advances=0,
-            )
+            self.trace_decision(kind, now, queue_len, skipped)
         return launched

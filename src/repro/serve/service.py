@@ -69,7 +69,8 @@ def _parse_body(body: bytes, as_json: bool) -> Workflow:
     if as_json:
         try:
             workflows = workflows_from_json(text)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            # RecursionError: json.loads on pathologically nested input.
             raise ValidationError(
                 ValidationReport((), (), errors=(f"bad workflow JSON: {exc}",))
             ) from exc

@@ -29,7 +29,10 @@ Design constraints:
 Event vocabulary (``event`` field):
 
 ``decision``
-    One ``select_task`` call.  Fields: ``scheduler``, ``slot_kind``,
+    One ``select_task`` call, recorded by the single emitter
+    :meth:`repro.schedulers.base.WorkflowScheduler.trace_decision`, which
+    also bumps the scheduler's ``decisions`` (or, for an idle answer,
+    ``idle_decisions``) counter.  Fields: ``scheduler``, ``slot_kind``,
     ``workflow``/``task`` (``None`` when the scheduler had nothing to
     assign), ``lag`` (``None`` for unplanned or best-effort workflows),
     ``queue_len``, ``position`` (0-based rank of the served workflow in the

@@ -15,6 +15,7 @@ recurrence experiments of Fig 12) without cross-talk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, TypeVar
 
@@ -27,8 +28,8 @@ class WorkflowValidationError(ValueError):
     """Raised when a workflow description is structurally invalid.
 
     Covers duplicate job names, dangling prerequisite references, cycles,
-    non-positive task counts or durations, and deadline/submit-time
-    inconsistencies.
+    non-positive task counts or durations, non-finite durations, submit
+    times or deadlines, and deadline/submit-time inconsistencies.
     """
 
 
@@ -69,6 +70,10 @@ class WJob:
             raise WorkflowValidationError(f"{self.name}: negative task count")
         if self.num_maps == 0 and self.num_reduces == 0:
             raise WorkflowValidationError(f"{self.name}: job has no tasks")
+        if not math.isfinite(self.map_duration):
+            raise WorkflowValidationError(f"{self.name}: non-finite map duration")
+        if not math.isfinite(self.reduce_duration):
+            raise WorkflowValidationError(f"{self.name}: non-finite reduce duration")
         if self.num_maps > 0 and self.map_duration <= 0:
             raise WorkflowValidationError(f"{self.name}: non-positive map duration")
         if self.num_reduces > 0 and self.reduce_duration <= 0:
@@ -136,6 +141,11 @@ class Workflow:
             raise WorkflowValidationError("workflow name must be non-empty")
         if not self.jobs:
             raise WorkflowValidationError(f"{name}: workflow has no jobs")
+        # Negated acceptance tests, so NaN (false in every comparison) fails.
+        if not -math.inf < self.submit_time < math.inf:
+            raise WorkflowValidationError(f"{name}: non-finite submit time {self.submit_time}")
+        if self.deadline is not None and not self.deadline < math.inf:
+            raise WorkflowValidationError(f"{name}: non-finite deadline {self.deadline}")
         if self.deadline is not None and self.deadline < self.submit_time:
             raise WorkflowValidationError(
                 f"{name}: deadline {self.deadline} precedes submit time {self.submit_time}"

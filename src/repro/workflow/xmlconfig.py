@@ -98,16 +98,21 @@ def parse_workflow_xml(text: str) -> Workflow:
     if root.tag != "workflow":
         raise WorkflowValidationError(f"root element must be <workflow>, got <{root.tag}>")
     name = _require_attr(root, "name", "<workflow>")
-    submit = float(root.get("submit", "0"))
     deadline_attr = root.get("deadline")
     deadline: Optional[float] = None
-    if deadline_attr is not None:
-        # A plain number is a *relative* deadline (the common case for
-        # recurrent workflows); prefix "@" pins an absolute time.
-        if deadline_attr.startswith("@"):
-            deadline = float(deadline_attr[1:])
-        else:
-            deadline = submit + float(deadline_attr)
+    try:
+        submit = float(root.get("submit", "0"))
+        if deadline_attr is not None:
+            # A plain number is a *relative* deadline (the common case for
+            # recurrent workflows); prefix "@" pins an absolute time.
+            if deadline_attr.startswith("@"):
+                deadline = float(deadline_attr[1:])
+            else:
+                deadline = submit + float(deadline_attr)
+    except ValueError as exc:
+        raise WorkflowValidationError(
+            f"workflow {name!r}: bad submit or deadline attribute ({exc})"
+        ) from exc
 
     jobs: List[WJob] = []
     for elem in root.findall("job"):

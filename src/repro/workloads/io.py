@@ -9,9 +9,10 @@ by the CLI and benches.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, List, Sequence
 
-from repro.workflow.model import WJob, Workflow
+from repro.workflow.model import WJob, Workflow, WorkflowValidationError
 
 __all__ = ["workflows_to_json", "workflows_from_json", "save_workflows", "load_workflows"]
 
@@ -38,16 +39,49 @@ def _job_to_dict(job: WJob) -> Dict[str, Any]:
     return data
 
 
-def _job_from_dict(data: Dict[str, Any]) -> WJob:
+def _name(value: Any, where: str) -> str:
+    """A workflow or job name: a JSON string."""
+    if not isinstance(value, str):
+        raise WorkflowValidationError(f"{where}: 'name' must be a string, got {value!r:.40}")
+    return value
+
+
+def _count(value: Any, where: str, key: str) -> int:
+    """A task count: a JSON integer, never a float, string or boolean."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise WorkflowValidationError(f"{where}: {key!r} must be an integer, got {value!r:.40}")
+    return value
+
+
+def _number(value: Any, where: str, key: str) -> float:
+    """A duration or time: a finite JSON number, never a string or boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise WorkflowValidationError(
+            f"{where}: {key!r} must be a finite number, got {value!r:.40}"
+        )
+    return float(value)
+
+
+def _strings(value: Any, where: str, key: str) -> List[str]:
+    """A list of names or paths; a bare string is not one."""
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise WorkflowValidationError(
+            f"{where}: {key!r} must be a list of strings, got {value!r:.40}"
+        )
+    return value
+
+
+def _job_from_dict(data: Dict[str, Any], workflow: str) -> WJob:
+    where = f"workflow {workflow!r} job {data['name']!r}"
     return WJob(
-        name=data["name"],
-        num_maps=int(data["maps"]),
-        num_reduces=int(data["reduces"]),
-        map_duration=float(data["map_duration"]),
-        reduce_duration=float(data["reduce_duration"]),
-        prerequisites=frozenset(data.get("after", ())),
-        inputs=tuple(data.get("inputs", ())),
-        outputs=tuple(data.get("outputs", ())),
+        name=_name(data["name"], where),
+        num_maps=_count(data["maps"], where, "maps"),
+        num_reduces=_count(data["reduces"], where, "reduces"),
+        map_duration=_number(data["map_duration"], where, "map_duration"),
+        reduce_duration=_number(data["reduce_duration"], where, "reduce_duration"),
+        prerequisites=frozenset(_strings(data.get("after", []), where, "after")),
+        inputs=tuple(_strings(data.get("inputs", []), where, "inputs")),
+        outputs=tuple(_strings(data.get("outputs", []), where, "outputs")),
         jar_path=data.get("jar"),
         main_class=data.get("main_class"),
     )
@@ -78,15 +112,20 @@ def workflows_from_json(text: str) -> List[Workflow]:
         raise ValueError("not a repro workflow-set document")
     if doc.get("version") != _FORMAT_VERSION:
         raise ValueError(f"unsupported workflow-set version {doc.get('version')!r}")
-    return [
-        Workflow(
-            entry["name"],
-            [_job_from_dict(j) for j in entry["jobs"]],
-            submit_time=float(entry.get("submit", 0.0)),
-            deadline=entry.get("deadline"),
+    workflows = []
+    for entry in doc["workflows"]:
+        name = _name(entry["name"], "workflow")
+        where = f"workflow {name!r}"
+        deadline = entry.get("deadline")
+        workflows.append(
+            Workflow(
+                name,
+                [_job_from_dict(j, name) for j in entry["jobs"]],
+                submit_time=_number(entry.get("submit", 0.0), where, "submit"),
+                deadline=None if deadline is None else _number(deadline, where, "deadline"),
+            )
         )
-        for entry in doc["workflows"]
-    ]
+    return workflows
 
 
 def save_workflows(path: str, workflows: Sequence[Workflow]) -> None:

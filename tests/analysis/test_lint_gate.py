@@ -32,15 +32,17 @@ def test_cli_gate_matches_library_gate(capsys):
     assert exit_code == 0, out
 
 
-def test_source_tree_passes_the_interprocedural_gate():
+def test_source_tree_passes_the_interprocedural_gate(interproc_lint_runs):
     """The whole-program passes (DT201-DT202, DT301-DT305) are binding
     too: a set-order helper reachable from a decision path, a half-updated
     §IV structure on a hot path, or a stale or unknown directive anywhere
-    in ``src/repro`` fails the suite."""
-    report = lint_paths([PACKAGE_ROOT], baseline_path=BASELINE, interproc=True)
-    rendered = "\n".join(v.render() for v in report.violations)
-    assert report.clean, f"interprocedural lint violations:\n{rendered}"
-    assert not report.stale_baseline
+    in ``src/repro`` fails the suite.  The report is the shared
+    ``interproc_lint_runs`` fixture's (``src/repro`` with this baseline)."""
+    for run in interproc_lint_runs:
+        report = run.report
+        rendered = "\n".join(v.render() for v in report.violations)
+        assert report.clean, f"interprocedural lint violations:\n{rendered}"
+        assert not report.stale_baseline
 
 
 def test_hot_path_registry_functions_all_resolve():

@@ -1,6 +1,16 @@
 """Shared fixtures for the test suite."""
 
+import contextlib
+import io
+from pathlib import Path
+from typing import List, NamedTuple
+from unittest import mock
+
 import pytest
+
+import repro
+from repro import cli
+from repro.analysis import LintReport
 
 from repro.cluster.config import ClusterConfig
 from repro.workflow.builder import WorkflowBuilder
@@ -57,3 +67,44 @@ def heartbeat_cluster() -> ClusterConfig:
         heartbeat_interval=3.0,
         eager_heartbeats=False,
     )
+
+
+class LintRun(NamedTuple):
+    """One ``repro lint`` CLI invocation: exit code, stdout, and the
+    :class:`~repro.analysis.LintReport` the CLI rendered."""
+
+    exit_code: int
+    stdout: str
+    report: LintReport
+
+
+@pytest.fixture(scope="session")
+def interproc_lint_runs() -> List[LintRun]:
+    """Two whole-tree ``repro lint --interproc --format json`` runs over
+    ``src/repro`` with the checked-in baseline.
+
+    The whole-program passes are the slowest thing tier-1 does, so the
+    tests that need them (byte stability, a clean tree, the text summary,
+    no stale baseline entry) share these two runs instead of each making
+    their own.  The report each run rendered is kept, so the text form
+    (what ``--format text`` prints) can be checked without a third run.
+    """
+    real_lint_paths = cli.lint_paths
+    reports: List[LintReport] = []
+
+    def recording_lint_paths(*args, **kwargs):
+        reports.append(real_lint_paths(*args, **kwargs))
+        return reports[-1]
+
+    argv = [
+        "lint", str(Path(repro.__file__).parent), "--format", "json", "--interproc",
+        "--baseline", str(Path(__file__).parents[1] / "lint-baseline.txt"),
+    ]
+    runs = []
+    with mock.patch.object(cli, "lint_paths", recording_lint_paths):
+        for _ in range(2):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                exit_code = cli.main(argv)
+            runs.append(LintRun(exit_code, out.getvalue(), reports[-1]))
+    return runs

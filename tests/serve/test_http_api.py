@@ -3,6 +3,8 @@
 import asyncio
 import json
 
+import pytest
+
 from repro.core.progress import ProgressPlan
 from repro.serve.api import PlanServer
 from repro.serve.loadgen import _read_response, build_request
@@ -289,5 +291,75 @@ class TestProtocolEdges:
             (status, _h, body), (ok_status, _h2, ok_body) = responses
             assert status == 500 and "planner blew up" in json.loads(body)["error"]
             assert ok_status == 200 and json.loads(ok_body) == {"ok": True}
+
+        serve(check)
+
+
+def json_body(jobs=None, **workflow_fields):
+    """A one-workflow ``repro-workflows`` body; NaN/inf dump as JSON literals."""
+    if jobs is None:
+        jobs = [{}]
+    base = {"name": "a", "maps": 2, "reduces": 1, "map_duration": 10.0,
+            "reduce_duration": 5.0, "after": []}
+    workflow = {"name": "w", "submit": 0.0, "deadline": 500.0,
+                "jobs": [{**base, **job} for job in jobs], **workflow_fields}
+    doc = {"format": "repro-workflows", "version": 1, "workflows": [workflow]}
+    return json.dumps(doc).encode()
+
+
+def xml_body(deadline="500", submit="0", map_duration="10"):
+    return (
+        f'<workflow name="w" deadline="{deadline}" submit="{submit}">'
+        f'<job name="a" maps="2" reduces="0" map-duration="{map_duration}"/></workflow>'
+    ).encode()
+
+
+JSON, XML = "application/json", "application/xml"
+
+#: id -> (media type, body, text the 400's error must contain).
+MALFORMED_BODIES = {
+    # A bare string must not be read as the set of its characters: jobs a
+    # and b exist, so "ab" as {a, b} would plan and answer 200.
+    "after-string": (JSON, json_body([{}, {"name": "b"}, {"name": "ab", "after": "ab"}]),
+                     "job 'ab': 'after' must be a list of strings"),
+    # A non-string name would otherwise fail later, as a 500 from plan encoding.
+    "job-name-number": (JSON, json_body([{"name": 5}]), "job 5: 'name' must be a string"),
+    "workflow-name-number": (JSON, json_body(name=7), "workflow: 'name' must be a string"),
+    "inputs-string": (JSON, json_body([{"inputs": "/in"}]), "'inputs' must be a list"),
+    "outputs-string": (JSON, json_body([{"outputs": "/out"}]), "'outputs' must be a list"),
+    # Counts and durations are not coerced: 1.5, true and "4" are not counts.
+    "maps-float": (JSON, json_body([{"maps": 1.5}]), "job 'a': 'maps' must be an integer"),
+    "maps-bool": (JSON, json_body([{"maps": True}]), "job 'a': 'maps' must be an integer"),
+    "reduces-string": (JSON, json_body([{"reduces": "4"}]), "'reduces' must be an integer"),
+    "duration-string": (JSON, json_body([{"map_duration": "10"}]), "'map_duration' must be"),
+    # Non-finite values must not reach the planner (it cannot plan them).
+    "map-duration-nan": (JSON, json_body([{"map_duration": float("nan")}]),
+                         "'map_duration' must be a finite number"),
+    "deadline-nan": (JSON, json_body(deadline=float("nan")),
+                     "workflow 'w': 'deadline' must be a finite number"),
+    "deadline-infinity": (JSON, json_body(deadline=float("inf")),
+                          "workflow 'w': 'deadline' must be a finite number"),
+    "xml-deadline-nan": (XML, xml_body(deadline="nan"), "non-finite deadline"),
+    "xml-deadline-inf": (XML, xml_body(deadline="inf"), "non-finite deadline"),
+    "xml-map-duration-nan": (XML, xml_body(map_duration="nan"), "non-finite map duration"),
+    "xml-submit-not-a-number": (XML, xml_body(submit="soon"), "bad submit or deadline"),
+    # json.loads raises RecursionError on deep nesting.
+    "json-nested-200kb": (JSON, b"[" * 200_000, "bad workflow JSON"),
+}
+
+
+class TestMalformedFields:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_BODIES))
+    def test_is_a_400_naming_the_field(self, case):
+        content_type, body, needle = MALFORMED_BODIES[case]
+
+        async def check(port, _service):
+            [(status, _h, reply)] = await roundtrip(
+                port, raw_request("POST", "/v1/plan", body, content_type=content_type)
+            )
+            payload = json.loads(reply)
+            assert status == 400, payload
+            assert payload["ok"] is False
+            assert needle in payload["errors"][0], payload
 
         serve(check)

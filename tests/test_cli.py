@@ -151,9 +151,11 @@ class TestLintCommand:
         assert "0 violation(s)" in out
         assert "file(s) checked" in out
 
-    def test_lint_interproc_package_tree_is_clean(self, capsys):
-        assert main(["lint", "--interproc"]) == 0
-        assert "0 violation(s)" in capsys.readouterr().out
+    def test_lint_interproc_package_tree_is_clean(self, interproc_lint_runs):
+        for run in interproc_lint_runs:
+            assert run.exit_code == 0
+            # The text summary ``--format text`` prints for this report.
+            assert "0 violation(s)" in run.report.render()
 
     def test_lint_json_reports_sorted_records_and_exits_nonzero(self, tmp_path, capsys):
         (tmp_path / "m.py").write_text(
@@ -180,12 +182,11 @@ class TestLintCommand:
         assert payload["suppressed_count"] == 1
         assert [r["rule"] for r in payload["suppressed"]] == ["DT102"]
 
-    def test_lint_json_output_is_byte_stable(self, capsys):
-        assert main(["lint", "--format", "json", "--interproc"]) == 0
-        first = capsys.readouterr().out
-        assert main(["lint", "--format", "json", "--interproc"]) == 0
-        assert capsys.readouterr().out == first
-        assert json.loads(first)["clean"] is True
+    def test_lint_json_output_is_byte_stable(self, interproc_lint_runs):
+        first, second = interproc_lint_runs
+        assert first.exit_code == 0 and second.exit_code == 0
+        assert second.stdout == first.stdout
+        assert json.loads(first.stdout)["clean"] is True
 
     def test_lint_diff_unknown_ref_falls_back_to_full_report(self, capsys):
         assert main(["lint", "--diff", "definitely-not-a-ref"]) == 0

@@ -52,6 +52,13 @@ class TestWJobValidation:
         with pytest.raises(WorkflowValidationError):
             wjob("x", pre=("x",))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("phase", ["map", "reduce"])
+    def test_non_finite_duration_rejected(self, phase, value):
+        durations = {"map_duration": 1.0, "reduce_duration": 1.0, f"{phase}_duration": value}
+        with pytest.raises(WorkflowValidationError, match=f"non-finite {phase} duration"):
+            WJob(name="x", num_maps=1, num_reduces=1, **durations)
+
 
 class TestWorkflowValidation:
     def test_duplicate_job_names_rejected(self):
@@ -79,6 +86,16 @@ class TestWorkflowValidation:
     def test_deadline_before_submit_rejected(self):
         with pytest.raises(WorkflowValidationError):
             Workflow("w", [wjob("a")], submit_time=100.0, deadline=50.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_submit_time_rejected(self, value):
+        with pytest.raises(WorkflowValidationError, match="non-finite submit time"):
+            Workflow("w", [wjob("a")], submit_time=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_deadline_rejected(self, value):
+        with pytest.raises(WorkflowValidationError, match="non-finite deadline"):
+            Workflow("w", [wjob("a")], deadline=value)
 
 
 class TestWorkflowStructure:
