@@ -23,9 +23,6 @@ Commands:
 * ``serve`` — run the multi-tenant planning/admission HTTP service
   (:mod:`repro.serve`): submit workflows, fetch wire-format plans, check
   deadline admission, stream the decision trace.
-* ``serve-bench`` — closed-loop load generator against an in-process
-  service (:mod:`repro.serve.loadgen`): p50/p99 plan latency and
-  throughput across request mixes × concurrency.
 * ``lint`` — run the determinism lint (:mod:`repro.analysis`) over source
   trees; exits 1 on violations or a stale baseline, 2 on usage errors.
   ``--interproc`` adds the whole-program taint and dataflow passes
@@ -154,26 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-capacity", type=int, default=1024,
                        help="shared plan-cache entries (LRU beyond this)")
 
-    serve_bench = sub.add_parser(
-        "serve-bench",
-        help="closed-loop latency/throughput bench against the planning service",
-    )
-    serve_bench.add_argument("--concurrency", type=int, action="append",
-                             help="closed-loop client count; repeatable "
-                                  "(default: 2, 8, 16)")
-    serve_bench.add_argument("--requests", type=int, default=25,
-                             help="requests per client per cell (default 25)")
-    serve_bench.add_argument("--mix", action="append", choices=("recurrent", "cold"),
-                             help="request mix(es) to run; repeatable (default: both)")
-    serve_bench.add_argument("--scenario", choices=sorted(SWEEP_SCENARIOS), default="serve",
-                             help="workload template source (default: serve)")
-    serve_bench.add_argument("--seed", type=int, default=7)
-    serve_bench.add_argument("--scale", type=float, default=0.5,
-                             help="template-count scale factor")
-    serve_bench.add_argument("--slots", type=int, default=200)
-    serve_bench.add_argument("--json", dest="json_out",
-                             help="write the BENCH payload to this path")
-
     lint = sub.add_parser("lint", help="run the determinism lint over source trees")
     lint.add_argument("paths", nargs="*",
                       help="files or directories to lint (default: the installed repro package)")
@@ -225,9 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--nodes", type=int, default=8)
     profile.add_argument("--heartbeat", type=float, default=3.0,
                          help="heartbeat interval in seconds; 0 = event-driven")
-    profile.add_argument("--reference", action="store_true",
-                         help="profile the per-call assignment path "
-                              "(batched assignment off; not for --scenario serve)")
     profile.add_argument("--top", type=int, default=15,
                          help="how many functions to print (default 15)")
     profile.add_argument("--sort", choices=("cumulative", "tottime"), default="cumulative")
@@ -246,8 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="workload scale factor (1.0 = the bench-tier size)")
     sweep.add_argument("--workers", type=int, default=0,
                        help="worker processes; 0 = run inline (default)")
-    sweep.add_argument("--batched", action="store_true",
-                       help="enable the batched-assignment fast path")
     sweep.add_argument("--json", dest="json_out",
                        help="write the deterministic grid payload to this path")
 
@@ -444,10 +416,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if args.top <= 0:
         print(f"--top must be positive, got {args.top}", file=sys.stderr)
         return 2
-    if args.reference and args.scenario == "serve":
-        print("--reference: the serve scenario plans one way and has no reference profile",
-              file=sys.stderr)
-        return 2
     report = profile_scenario(
         args.scenario,
         scheduler=args.scheduler,
@@ -455,7 +423,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         scale=args.scale,
         nodes=args.nodes,
         heartbeat=args.heartbeat,
-        fast=not args.reference,
         top=args.top,
         sort=args.sort,
     )
@@ -509,37 +476,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.serve.loadgen import MIXES, cells_table, run_serve_bench
-
-    if args.requests < 1:
-        print(f"--requests must be >= 1, got {args.requests}", file=sys.stderr)
-        return 2
-    levels = tuple(args.concurrency) if args.concurrency else (2, 8, 16)
-    if any(level < 1 for level in levels):
-        print(f"--concurrency values must be >= 1, got {levels}", file=sys.stderr)
-        return 2
-    payload = run_serve_bench(
-        concurrency_levels=levels,
-        requests_per_client=args.requests,
-        scenario=args.scenario,
-        seed=args.seed,
-        scale=args.scale,
-        total_slots=args.slots,
-        mixes=tuple(args.mix) if args.mix else MIXES,
-    )
-    print(cells_table(
-        payload["cells"], title=f"serve bench ({args.slots} slots, {args.requests} req/client)"
-    ))
-    print(f"\nrecurrent hit-rate {payload['summary']['recurrent_hit_rate']}")
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote bench payload to {args.json_out}", file=sys.stderr)
-    return 0
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.seeds <= 0:
         print(f"--seeds must be positive, got {args.seeds}", file=sys.stderr)
@@ -555,7 +491,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for scheduler in schedulers
         for seed in range(args.seeds)
     ]
-    grid = run_grid(cells, workers=args.workers, batched_assignment=args.batched)
+    grid = run_grid(cells, workers=args.workers)
     rows = [
         [
             cell.key,
@@ -605,8 +541,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_profile(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "serve-bench":
-        return _cmd_serve_bench(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -34,6 +34,7 @@ from repro.cluster.simulation import ClusterSimulation
 from repro.experiments.runner import _make_stack
 from repro.experiments.scenarios import SCENARIOS
 from repro.metrics.report import format_table
+from repro.workflow.model import Workflow
 
 __all__ = ["ProfileReport", "profile_scenario"]
 
@@ -47,7 +48,6 @@ class ProfileReport:
     seed: int
     scale: float
     nodes: int
-    fast: bool
     wall_s: float
     events: int
     us_per_event: float
@@ -64,10 +64,9 @@ class ProfileReport:
             ),
             float_fmt="{:.4f}",
         )
-        path = "fast" if self.fast else "reference"
         head = (
             f"profile: scenario={self.scenario} scheduler={self.scheduler} "
-            f"seed={self.seed} scale={self.scale:g} nodes={self.nodes} path={path}\n"
+            f"seed={self.seed} scale={self.scale:g} nodes={self.nodes}\n"
             f"events={self.events} wall={self.wall_s:.3f}s "
             f"({self.us_per_event:.1f} µs/event under the profiler)\n"
         )
@@ -110,6 +109,21 @@ def _hot_rows(
     ]
 
 
+def _jittered(template: Workflow, ordinal: int, total: int) -> Workflow:
+    """A copy whose *relative* deadline is unique to ``ordinal`` of ``total``.
+
+    The jitter is a tiny deterministic stretch, ``ordinal / (total * 1000)``
+    — below 0.1% for every ``ordinal < total`` — enough to change the cache
+    fingerprint without changing feasibility, so every cold request is a
+    genuine miss on a shared structure.
+    """
+    base = template.relative_deadline
+    assert base is not None
+    return template.with_timing(
+        submit_time=0.0, deadline=base * (1.0 + ordinal / (total * 1000.0))
+    )
+
+
 def _profile_serve(seed: int, scale: float, nodes: int, top: int, sort: str) -> ProfileReport:
     """The ``serve`` scenario: profile the batching planner, not a cluster.
 
@@ -120,7 +134,6 @@ def _profile_serve(seed: int, scale: float, nodes: int, top: int, sort: str) -> 
     so cProfile attributes cost to the flush/fusion path itself.  An
     *event* is one served plan request.
     """
-    from repro.serve.loadgen import jittered
     from repro.serve.service import PlanningService, ServiceConfig
 
     templates = [
@@ -136,7 +149,7 @@ def _profile_serve(seed: int, scale: float, nodes: int, top: int, sort: str) -> 
         for t in range(tenants):
             template = templates[(r + t) % len(templates)]
             if t % 2:  # odd tenants go cold: unique relative deadline
-                template = jittered(template, r * tenants + t, rounds * tenants)
+                template = _jittered(template, r * tenants + t, rounds * tenants)
             burst.append((f"tenant{t:02d}", template))
         schedule.append(burst)
 
@@ -162,7 +175,6 @@ def _profile_serve(seed: int, scale: float, nodes: int, top: int, sort: str) -> 
         seed=seed,
         scale=scale,
         nodes=tenants,
-        fast=True,
         wall_s=round(wall, 4),
         events=events,
         us_per_event=round(1e6 * wall / events, 3) if events else 0.0,
@@ -179,18 +191,17 @@ def profile_scenario(
     scale: float = 0.25,
     nodes: int = 8,
     heartbeat: float = 3.0,
-    fast: bool = True,
     top: int = 15,
     sort: str = "cumulative",
 ) -> ProfileReport:
     """Profile one scenario run; returns the report (pure of global state).
 
-    ``fast`` toggles batched assignment exactly like the throughput
-    bench, so the two profiles of a fast/reference pair attribute cost to
-    the same decision stream; heartbeat parking runs in both.  The
-    ``serve`` scenario is special-cased: it profiles the planning
-    *service* request path (:func:`_profile_serve`) instead of a cluster
-    run, and has no reference variant (``fast=False`` raises).
+    The cluster runs with :class:`~repro.cluster.config.ClusterConfig`'s
+    default assignment path, the one ``repro simulate``, the sweep runner
+    and the benchmarks take, so the profile charges cost where those runs
+    spend it.  The ``serve`` scenario is special-cased: it profiles the
+    planning *service* request path (:func:`_profile_serve`) instead of a
+    cluster run.
     """
     if sort not in ("cumulative", "tottime"):
         raise ValueError(f"sort must be 'cumulative' or 'tottime', got {sort!r}")
@@ -203,15 +214,12 @@ def profile_scenario(
             f"unknown scenario {scenario!r}; pick from {sorted(SCENARIOS)}"
         ) from None
     if scenario == "serve":
-        if not fast:
-            raise ValueError("the serve scenario plans one way and has no reference profile")
         return _profile_serve(seed, scale, nodes, top, sort)
     workflows, outages = make_scenario(seed, scale)
     scheduler_obj, mode, planner = _make_stack(scheduler)
     config = ClusterConfig(
         num_nodes=nodes,
         heartbeat_interval=heartbeat if heartbeat > 0 else float("inf"),
-        batched_assignment=fast,
     )
     sim = ClusterSimulation(config, scheduler_obj, submission=mode, planner=planner)
     sim.add_workflows(workflows)
@@ -235,7 +243,6 @@ def profile_scenario(
         seed=seed,
         scale=scale,
         nodes=nodes,
-        fast=fast,
         wall_s=round(wall, 4),
         events=events,
         us_per_event=round(1e6 * wall / events, 3) if events else 0.0,

@@ -182,7 +182,7 @@ def _make_stack(name: str, pool: str = "pooled"):
 
 
 # repro: entrypoint[fork]
-def run_cell(cell: ExperimentCell, batched_assignment: bool = False) -> CellResult:
+def run_cell(cell: ExperimentCell) -> CellResult:
     """Run one cell to completion (module-level, hence pool-picklable).
 
     Declared a fork entry point: everything reachable from here runs in a
@@ -193,11 +193,7 @@ def run_cell(cell: ExperimentCell, batched_assignment: bool = False) -> CellResu
     """
     workflows, outages = SCENARIOS[cell.scenario](shard_seed(cell), cell.scale)
     scheduler, mode, planner = _make_stack(cell.scheduler)
-    config = ClusterConfig(
-        num_nodes=cell.nodes,
-        heartbeat_interval=float("inf"),
-        batched_assignment=batched_assignment,
-    )
+    config = ClusterConfig(num_nodes=cell.nodes, heartbeat_interval=float("inf"))
     sim = ClusterSimulation(config, scheduler, submission=mode, planner=planner)
     sim.add_workflows(workflows)
     if outages:
@@ -212,16 +208,7 @@ def run_cell(cell: ExperimentCell, batched_assignment: bool = False) -> CellResu
     )
 
 
-# repro: entrypoint[fork]
-def _run_cell_batched(cell: ExperimentCell) -> CellResult:
-    return run_cell(cell, batched_assignment=True)
-
-
-def run_grid(
-    cells: Sequence[ExperimentCell],
-    workers: int = 0,
-    batched_assignment: bool = False,
-) -> GridResult:
+def run_grid(cells: Sequence[ExperimentCell], workers: int = 0) -> GridResult:
     """Run every cell and merge the metrics, deterministically.
 
     ``workers=0`` runs inline in this process; ``workers=N`` fans the
@@ -234,15 +221,14 @@ def run_grid(
     keys = [cell.key for cell in ordered]
     if len(set(keys)) != len(keys):
         raise ValueError("duplicate cell keys in grid")
-    worker = _run_cell_batched if batched_assignment else run_cell
     if workers <= 0:
-        results = [worker(cell) for cell in ordered]
+        results = [run_cell(cell) for cell in ordered]
     else:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(processes=workers) as pool:
             # Pool.map returns results in input order whatever the
             # completion interleaving; input order is sorted-key order.
-            results = pool.map(worker, ordered)
+            results = pool.map(run_cell, ordered)
     merged: Optional[MetricsCollector] = None
     for result in results:
         if merged is None:

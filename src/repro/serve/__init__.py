@@ -13,8 +13,9 @@ batching planner:
   independent core (plan / admit / stats / trace).
 * :mod:`repro.serve.api` — :class:`PlanServer`, a minimal HTTP/1.1 layer
   over asyncio streams (stdlib only).
-* :mod:`repro.serve.loadgen` — the closed-loop load generator behind
-  ``repro serve-bench``.
+
+The service is measured with the server in its own process, by the
+``serve-recurrent`` and ``serve-cold`` workloads of ``benchmarks/e2e``.
 """
 
 from repro.serve.batching import BatchingPlanner

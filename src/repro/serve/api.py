@@ -3,8 +3,9 @@
 Stdlib only: ``asyncio.start_server`` streams plus a hand-rolled
 request parser — no web framework ships with the image, and the protocol
 surface is five routes.  Persistent connections (HTTP keep-alive) are
-supported because the load generator runs closed-loop clients that reuse
-one socket for thousands of requests; ``Connection: close`` is honoured.
+supported because closed-loop clients (the ``benchmarks/e2e`` serve
+driver among them) reuse one socket for thousands of requests;
+``Connection: close`` is honoured.
 
 Bodies are framed by ``Content-Length`` only.  A request carrying
 ``Transfer-Encoding`` (chunked or otherwise) gets a single 400 that names

@@ -157,7 +157,7 @@ class PlanningService:
         XML is the paper's native submission format; JSON accepts a
         single-workflow ``repro-workflows`` document
         (:mod:`repro.workloads.io`), the format the sweep corpus and the
-        load generator already speak.
+        ``benchmarks/e2e`` serve driver already speak.
 
         Parsing is a pure function of the body bytes and the format, and
         :class:`~repro.workflow.model.Workflow` is immutable, so the

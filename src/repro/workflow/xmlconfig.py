@@ -26,11 +26,13 @@ Schema (all durations in seconds)::
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from typing import Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, TypeVar
 
 from repro.workflow.model import WJob, Workflow, WorkflowValidationError
 
 __all__ = ["parse_workflow_xml", "workflow_to_xml", "infer_prerequisites"]
+
+_N = TypeVar("_N", int, float)
 
 
 def infer_prerequisites(jobs: List[WJob]) -> List[WJob]:
@@ -89,6 +91,22 @@ def _require_attr(element: ET.Element, attr: str, context: str) -> str:
     return value
 
 
+def _numeric_attr(
+    element: ET.Element, attr: str, context: str, parse: Callable[[str], _N],
+    default: Optional[str] = None,
+) -> _N:
+    """An attribute read by ``parse`` (``int`` or ``float``); a bad value
+    is rejected naming the attribute and the value."""
+    raw = _require_attr(element, attr, context) if default is None else element.get(attr, default)
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        kind = "an integer" if parse is int else "a number"
+        raise WorkflowValidationError(
+            f"{context}: {attr!r} must be {kind}, got {raw!r:.40}"
+        ) from exc
+
+
 def parse_workflow_xml(text: str) -> Workflow:
     """Parse a WOHA workflow configuration document into a :class:`Workflow`."""
     try:
@@ -118,20 +136,13 @@ def parse_workflow_xml(text: str) -> Workflow:
     for elem in root.findall("job"):
         job_name = _require_attr(elem, "name", f"workflow {name!r} <job>")
         context = f"workflow {name!r} job {job_name!r}"
-        try:
-            num_maps = int(_require_attr(elem, "maps", context))
-            num_reduces = int(_require_attr(elem, "reduces", context))
-            map_duration = float(elem.get("map-duration", "0"))
-            reduce_duration = float(elem.get("reduce-duration", "0"))
-        except ValueError as exc:
-            raise WorkflowValidationError(f"{context}: bad numeric attribute ({exc})") from exc
         jobs.append(
             WJob(
                 name=job_name,
-                num_maps=num_maps,
-                num_reduces=num_reduces,
-                map_duration=map_duration,
-                reduce_duration=reduce_duration,
+                num_maps=_numeric_attr(elem, "maps", context, int),
+                num_reduces=_numeric_attr(elem, "reduces", context, int),
+                map_duration=_numeric_attr(elem, "map-duration", context, float, "0"),
+                reduce_duration=_numeric_attr(elem, "reduce-duration", context, float, "0"),
                 prerequisites=frozenset(e.text.strip() for e in elem.findall("after") if e.text),
                 inputs=tuple(e.text.strip() for e in elem.findall("input") if e.text),
                 outputs=tuple(e.text.strip() for e in elem.findall("output") if e.text),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.workflow.model import WJob, Workflow, WorkflowValidationError
 
@@ -71,6 +71,23 @@ def _strings(value: Any, where: str, key: str) -> List[str]:
     return value
 
 
+def _optional_string(data: Dict[str, Any], where: str, key: str) -> Optional[str]:
+    """A free-text field such as a jar path: absent, or a JSON string."""
+    value = data.get(key)
+    if key in data and not isinstance(value, str):
+        raise WorkflowValidationError(f"{where}: {key!r} must be a string, got {value!r:.40}")
+    return value
+
+
+def _objects(value: Any, where: str, key: str) -> List[Dict[str, Any]]:
+    """A list of JSON objects: a set's workflows, a workflow's jobs."""
+    if not isinstance(value, list) or not all(isinstance(item, dict) for item in value):
+        raise WorkflowValidationError(
+            f"{where}: {key!r} must be a list of objects, got {value!r:.40}"
+        )
+    return value
+
+
 def _job_from_dict(data: Dict[str, Any], workflow: str) -> WJob:
     where = f"workflow {workflow!r} job {data['name']!r}"
     return WJob(
@@ -82,8 +99,8 @@ def _job_from_dict(data: Dict[str, Any], workflow: str) -> WJob:
         prerequisites=frozenset(_strings(data.get("after", []), where, "after")),
         inputs=tuple(_strings(data.get("inputs", []), where, "inputs")),
         outputs=tuple(_strings(data.get("outputs", []), where, "outputs")),
-        jar_path=data.get("jar"),
-        main_class=data.get("main_class"),
+        jar_path=_optional_string(data, where, "jar"),
+        main_class=_optional_string(data, where, "main_class"),
     )
 
 
@@ -109,18 +126,21 @@ def workflows_from_json(text: str) -> List[Workflow]:
     """Parse a workflow-set document (validates structure on load)."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("format") != "repro-workflows":
-        raise ValueError("not a repro workflow-set document")
-    if doc.get("version") != _FORMAT_VERSION:
-        raise ValueError(f"unsupported workflow-set version {doc.get('version')!r}")
+        raise ValueError(
+            "not a repro workflow-set document: 'format' must be 'repro-workflows'"
+        )
+    version = doc.get("version")
+    if type(version) is not int or version != _FORMAT_VERSION:  # not true, not 1.0
+        raise ValueError(f"unsupported workflow-set 'version' {version!r:.40}")
     workflows = []
-    for entry in doc["workflows"]:
+    for entry in _objects(doc["workflows"], "workflow set", "workflows"):
         name = _name(entry["name"], "workflow")
         where = f"workflow {name!r}"
         deadline = entry.get("deadline")
         workflows.append(
             Workflow(
                 name,
-                [_job_from_dict(j, name) for j in entry["jobs"]],
+                [_job_from_dict(j, name) for j in _objects(entry["jobs"], where, "jobs")],
                 submit_time=_number(entry.get("submit", 0.0), where, "submit"),
                 deadline=None if deadline is None else _number(deadline, where, "deadline"),
             )

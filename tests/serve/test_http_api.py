@@ -6,8 +6,9 @@ import json
 import pytest
 
 from repro.core.progress import ProgressPlan
+from repro.experiments.scenarios import SCENARIOS
 from repro.serve.api import PlanServer
-from repro.serve.loadgen import _read_response, build_request
+from tests.serve._http import _read_response, build_request
 from repro.serve.service import PlanningService, ServiceConfig
 from repro.workflow.builder import WorkflowBuilder
 from repro.workflow.xmlconfig import workflow_to_xml
@@ -217,6 +218,35 @@ class TestRoutes:
         serve(check)
 
 
+class TestRecurrentHitRate:
+    def test_recurrent_requests_are_cache_served(self):
+        """Two keep-alive clients cycle through the ``serve`` scenario's
+        deadline-bearing templates (client ``c``'s request ``i`` plans
+        template ``(c + i) mod T``): after each template's first build
+        every request is a cache hit, so >= 90% of the 30 are."""
+        templates = [
+            w for w in SCENARIOS["serve"](7, 0.5)[0] if w.relative_deadline is not None
+        ]
+        assert len(templates) >= 2  # the two clients plan different templates
+        clients, per_client = 2, 15
+
+        async def check(port, _service):
+            replies = await asyncio.gather(*(
+                roundtrip(port, *(
+                    build_request(templates[(c + i) % len(templates)], f"client{c:02d}")
+                    for i in range(per_client)
+                ))
+                for c in range(clients)
+            ))
+            responses = [r for client in replies for r in client]
+            assert len(responses) == clients * per_client
+            assert all(status == 200 for status, _h, _b in responses)
+            hits = sum(h["x-plan-outcome"] == "hit" for _s, h, _b in responses)
+            assert hits / len(responses) >= 0.9
+
+        serve(check, ServiceConfig(total_slots=200))
+
+
 class TestProtocolEdges:
     def test_unknown_route_404(self):
         async def check(port, _service):
@@ -307,10 +337,12 @@ def json_body(jobs=None, **workflow_fields):
     return json.dumps(doc).encode()
 
 
-def xml_body(deadline="500", submit="0", map_duration="10"):
+def xml_body(deadline="500", submit="0", maps="2", reduces="1", map_duration="10",
+             reduce_duration="5"):
     return (
         f'<workflow name="w" deadline="{deadline}" submit="{submit}">'
-        f'<job name="a" maps="2" reduces="0" map-duration="{map_duration}"/></workflow>'
+        f'<job name="a" maps="{maps}" reduces="{reduces}" map-duration="{map_duration}" '
+        f'reduce-duration="{reduce_duration}"/></workflow>'
     ).encode()
 
 
@@ -343,6 +375,21 @@ MALFORMED_BODIES = {
     "xml-deadline-inf": (XML, xml_body(deadline="inf"), "non-finite deadline"),
     "xml-map-duration-nan": (XML, xml_body(map_duration="nan"), "non-finite map duration"),
     "xml-submit-not-a-number": (XML, xml_body(submit="soon"), "bad submit or deadline"),
+    # Each XML job attribute is named with its bad value, so maps="1.5"
+    # can be told from reduces="1.5".
+    "xml-maps-float": (XML, xml_body(maps="1.5"),
+                       "job 'a': 'maps' must be an integer, got '1.5'"),
+    "xml-reduces-float": (XML, xml_body(reduces="1.5"),
+                          "job 'a': 'reduces' must be an integer, got '1.5'"),
+    "xml-map-duration-string": (XML, xml_body(map_duration="ten"),
+                                "job 'a': 'map-duration' must be a number, got 'ten'"),
+    "xml-reduce-duration-string": (XML, xml_body(reduce_duration="5s"),
+                                   "job 'a': 'reduce-duration' must be a number, got '5s'"),
+    # Free-text fields are strings or absent; a list must not reach hdfs.exists.
+    "jar-list": (JSON, json_body([{"jar": [1]}]),
+                 "workflow 'w' job 'a': 'jar' must be a string, got [1]"),
+    "main-class-number": (JSON, json_body([{"main_class": 3}]),
+                          "workflow 'w' job 'a': 'main_class' must be a string, got 3"),
     # json.loads raises RecursionError on deep nesting.
     "json-nested-200kb": (JSON, b"[" * 200_000, "bad workflow JSON"),
 }

@@ -16,7 +16,7 @@ from repro.core.client import make_planner
 from repro.core.progress import ProgressPlan
 from repro.experiments.scenarios import SCENARIOS
 from repro.serve.api import PlanServer
-from repro.serve.loadgen import _read_response, build_request
+from tests.serve._http import _read_response, build_request
 from repro.serve.service import PlanningService, ServiceConfig
 from repro.workflow.builder import WorkflowBuilder
 

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.experiments.profiling import profile_scenario
 
 WORKFLOW_XML = """
 <workflow name="demo" deadline="1200">
@@ -201,29 +200,27 @@ class TestProfileCommand:
                      "--nodes", "2", "--top", "5"]) == 0
         out = capsys.readouterr().out
         assert "profile: scenario=periodic" in out
-        assert "path=fast" in out
         assert "µs/event" in out
         assert "top 5 by cumulative time" in out
         # The hot-spot table names actual simulator internals.
         assert "events=" in out and "wall=" in out
 
-    def test_reference_path_and_tottime_sort(self, capsys):
+    def test_tottime_sort(self, capsys):
         assert main(["profile", "--scenario", "yahoo", "--scale", "0.05",
-                     "--reference", "--sort", "tottime", "--top", "3"]) == 0
+                     "--sort", "tottime", "--top", "3"]) == 0
         out = capsys.readouterr().out
-        assert "path=reference" in out
         assert "top 3 by internal time" in out
 
     def test_bad_top_errors(self, capsys):
         assert main(["profile", "--top", "0"]) == 2
         assert "--top must be positive" in capsys.readouterr().err
 
-    def test_serve_scenario_has_no_reference_path(self, capsys):
-        assert main(["profile", "--scenario", "serve", "--reference"]) == 2
-        err = capsys.readouterr().err
-        assert "no reference profile" in err and len(err.strip().splitlines()) == 1
-        with pytest.raises(ValueError, match="no reference profile"):
-            profile_scenario("serve", fast=False)
+    @pytest.mark.parametrize("argv", [["profile", "--reference"], ["sweep", "--batched"]])
+    def test_retired_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        capsys.readouterr()
 
 
 class TestServeCommand:
@@ -293,16 +290,6 @@ class TestSweepCommand:
         assert inline.read_text() == sharded.read_text()
         payload = json.loads(inline.read_text())
         assert set(payload) == {"cells", "merged"}
-
-    def test_sweep_batched_payload_identical(self, tmp_path, capsys):
-        args = ["sweep", "--scenario", "periodic", "--scheduler", "fair",
-                "--nodes", "4", "--scale", "0.1"]
-        ref = tmp_path / "ref.json"
-        bat = tmp_path / "bat.json"
-        assert main(args + ["--json", str(ref)]) == 0
-        assert main(args + ["--batched", "--json", str(bat)]) == 0
-        capsys.readouterr()
-        assert ref.read_text() == bat.read_text()
 
     def test_sweep_rejects_bad_arguments(self, capsys):
         assert main(["sweep", "--seeds", "0"]) == 2

@@ -72,7 +72,7 @@ class TestParse:
             parse_workflow_xml("<workflow name='w'><job name='a' reduces='0'/></workflow>")
 
     def test_bad_numeric_rejected(self):
-        with pytest.raises(WorkflowValidationError, match="numeric"):
+        with pytest.raises(WorkflowValidationError, match="'maps' must be an integer, got 'lots'"):
             parse_workflow_xml(
                 "<workflow name='w'><job name='a' maps='lots' reduces='0' map-duration='5'/></workflow>"
             )
