@@ -32,79 +32,57 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 reproduction of every figure in the paper's evaluation.
 """
 
-from repro.cluster.config import ClusterConfig
-from repro.cluster.failures import FailureInjector, Outage
-from repro.cluster.simulation import ClusterSimulation, SimulationResult, WorkflowStats
-from repro.cluster.speculation import SpeculationManager
-from repro.noise import LognormalNoise
-from repro.registry import parse_scheduler_config, register_plan_generator, register_scheduler
-from repro.workloads.recurrence import Recurrence, expand_recurrences
-from repro.core.capsearch import CapSearchResult, find_min_cap
-from repro.core.client import WohaClient, make_planner
-from repro.core.plancache import PlanCache
-from repro.core.plangen import generate_requirements
-from repro.core.priorities import PRIORITIZERS, hlf_order, lpf_order, mpf_order
-from repro.core.progress import ProgressEntry, ProgressPlan
-from repro.core.scheduler import NaiveWohaScheduler, WohaScheduler
-from repro.events import Simulator
-from repro.hdfs import HdfsNamespace
-from repro.metrics.postmortem import MissExplanation, explain_miss
-from repro.trace import DecisionTracer, read_jsonl
-from repro.schedulers.edf import EdfScheduler
-from repro.schedulers.fair import FairScheduler
-from repro.schedulers.fifo import FifoScheduler
-from repro.structures.dsl import DoubleSkipList
-from repro.structures.skiplist import DeterministicSkipList
-from repro.workflow.builder import WorkflowBuilder
-from repro.workflow.model import WJob, Workflow, WorkflowValidationError
-from repro.workflow.xmlconfig import parse_workflow_xml, workflow_to_xml
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ClusterConfig",
-    "ClusterSimulation",
-    "FailureInjector",
-    "Outage",
-    "SpeculationManager",
-    "LognormalNoise",
-    "Recurrence",
-    "expand_recurrences",
-    "parse_scheduler_config",
-    "register_scheduler",
-    "register_plan_generator",
-    "SimulationResult",
-    "WorkflowStats",
-    "CapSearchResult",
-    "find_min_cap",
-    "PlanCache",
-    "WohaClient",
-    "make_planner",
-    "generate_requirements",
-    "PRIORITIZERS",
-    "hlf_order",
-    "lpf_order",
-    "mpf_order",
-    "ProgressEntry",
-    "ProgressPlan",
-    "WohaScheduler",
-    "NaiveWohaScheduler",
-    "Simulator",
-    "HdfsNamespace",
-    "MissExplanation",
-    "explain_miss",
-    "DecisionTracer",
-    "read_jsonl",
-    "EdfScheduler",
-    "FairScheduler",
-    "FifoScheduler",
-    "DoubleSkipList",
-    "DeterministicSkipList",
-    "WorkflowBuilder",
-    "WJob",
-    "Workflow",
-    "WorkflowValidationError",
-    "parse_workflow_xml",
-    "workflow_to_xml",
-    "__version__",
-]
+# Each public name and the module defining it; resolved on first use, so
+# importing one submodule (say ``repro.serve.api``) does not load numpy,
+# the simulator or the lint engine.
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ClusterConfig": "repro.cluster.config",
+    "ClusterSimulation": "repro.cluster.simulation",
+    "FailureInjector": "repro.cluster.failures",
+    "Outage": "repro.cluster.failures",
+    "SpeculationManager": "repro.cluster.speculation",
+    "LognormalNoise": "repro.noise",
+    "Recurrence": "repro.workloads.recurrence",
+    "expand_recurrences": "repro.workloads.recurrence",
+    "parse_scheduler_config": "repro.registry",
+    "register_scheduler": "repro.registry",
+    "register_plan_generator": "repro.registry",
+    "SimulationResult": "repro.cluster.simulation",
+    "WorkflowStats": "repro.cluster.simulation",
+    "CapSearchResult": "repro.core.capsearch",
+    "find_min_cap": "repro.core.capsearch",
+    "PlanCache": "repro.core.plancache",
+    "WohaClient": "repro.core.client",
+    "make_planner": "repro.core.client",
+    "generate_requirements": "repro.core.plangen",
+    "PRIORITIZERS": "repro.core.priorities",
+    "hlf_order": "repro.core.priorities",
+    "lpf_order": "repro.core.priorities",
+    "mpf_order": "repro.core.priorities",
+    "ProgressEntry": "repro.core.progress",
+    "ProgressPlan": "repro.core.progress",
+    "WohaScheduler": "repro.core.scheduler",
+    "NaiveWohaScheduler": "repro.core.scheduler",
+    "Simulator": "repro.events",
+    "HdfsNamespace": "repro.hdfs",
+    "MissExplanation": "repro.metrics.postmortem",
+    "explain_miss": "repro.metrics.postmortem",
+    "DecisionTracer": "repro.trace",
+    "read_jsonl": "repro.trace",
+    "EdfScheduler": "repro.schedulers.edf",
+    "FairScheduler": "repro.schedulers.fair",
+    "FifoScheduler": "repro.schedulers.fifo",
+    "DoubleSkipList": "repro.structures.dsl",
+    "DeterministicSkipList": "repro.structures.skiplist",
+    "WorkflowBuilder": "repro.workflow.builder",
+    "WJob": "repro.workflow.model",
+    "Workflow": "repro.workflow.model",
+    "WorkflowValidationError": "repro.workflow.model",
+    "parse_workflow_xml": "repro.workflow.xmlconfig",
+    "workflow_to_xml": "repro.workflow.xmlconfig",
+})
+__all__.append("__version__")

@@ -20,40 +20,24 @@ Three layers of one guarantee:
   and prerequisite-respecting dispatch, zero-cost when disabled.
 """
 
-from repro.analysis.annotations import decision_path, entrypoint
-from repro.analysis.contracts import (
-    NULL_CONTRACTS,
-    ContractChecker,
-    ContractMonitor,
-    ContractViolation,
-    NullContractChecker,
-)
-from repro.analysis.engine import (
-    LintError,
-    LintReport,
-    lint_paths,
-    lint_source,
-    load_baseline,
-    module_key,
-)
-from repro.analysis.rules import DECISION_PATH_DIRS, RULES, Violation, scan_module
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RULES",
-    "DECISION_PATH_DIRS",
-    "Violation",
-    "scan_module",
-    "LintError",
-    "LintReport",
-    "decision_path",
-    "entrypoint",
-    "lint_paths",
-    "lint_source",
-    "load_baseline",
-    "module_key",
-    "ContractViolation",
-    "ContractChecker",
-    "ContractMonitor",
-    "NullContractChecker",
-    "NULL_CONTRACTS",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "RULES": "repro.analysis.rules",
+    "DECISION_PATH_DIRS": "repro.analysis.rules",
+    "Violation": "repro.analysis.rules",
+    "scan_module": "repro.analysis.rules",
+    "LintError": "repro.analysis.engine",
+    "LintReport": "repro.analysis.engine",
+    "decision_path": "repro.analysis.annotations",
+    "entrypoint": "repro.analysis.annotations",
+    "lint_paths": "repro.analysis.engine",
+    "lint_source": "repro.analysis.engine",
+    "load_baseline": "repro.analysis.engine",
+    "module_key": "repro.analysis.engine",
+    "ContractViolation": "repro.analysis.contracts",
+    "ContractChecker": "repro.analysis.contracts",
+    "ContractMonitor": "repro.analysis.contracts",
+    "NullContractChecker": "repro.analysis.contracts",
+    "NULL_CONTRACTS": "repro.analysis.contracts",
+})

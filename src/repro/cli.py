@@ -33,6 +33,9 @@ Commands:
 
 Scenario subcommands accept ``--contracts`` to enable the runtime
 invariant checks of :mod:`repro.analysis.contracts` during the run.
+
+Each command imports its modules when it runs, so ``repro serve`` loads
+the planning service alone: no numpy, simulator or lint engine.
 """
 
 from __future__ import annotations
@@ -41,30 +44,58 @@ import argparse
 import json
 import subprocess
 import sys
+from collections import abc
 from pathlib import Path
-from typing import List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Set
 
 import repro
-from repro.analysis import RULES, LintError, LintReport, lint_paths, module_key
-from repro.cluster.config import ClusterConfig
-from repro.cluster.simulation import ClusterSimulation
-from repro.core.client import make_planner
-from repro.experiments.runner import SCHEDULER_STACKS, ExperimentCell, _make_stack, run_grid
-from repro.experiments.scenarios import SCENARIOS as SWEEP_SCENARIOS
-from repro.metrics.postmortem import explain_miss
-from repro.metrics.report import format_table
-from repro.workflow.model import Workflow
-from repro.workflow.xmlconfig import parse_workflow_xml
-from repro.workloads.io import load_workflows, save_workflows
-from repro.workloads.yahoo import YahooTraceConfig, generate_yahoo_workflows
+
+if TYPE_CHECKING:
+    from repro.cluster.simulation import ClusterSimulation
+    from repro.workflow.model import Workflow
 
 __all__ = ["main", "build_parser"]
+
+
+class _DeferredChoices(abc.Sequence):
+    """Argparse ``choices`` loaded on first use (a membership check or
+    help), so building the parser imports no command's modules and
+    ``repro serve`` never loads the simulator to list names it does not
+    take.  Options using it need a ``metavar``: argparse formats one from
+    the choices when the option is added."""
+
+    def __init__(self, load: Callable[[], Sequence[str]]) -> None:
+        self._load = load
+
+    def __getitem__(self, index):
+        return self._load()[index]
+
+    def __len__(self) -> int:
+        return len(self._load())
+
+
+def _scheduler_stacks() -> Sequence[str]:
+    from repro.experiments.runner import SCHEDULER_STACKS
+
+    return SCHEDULER_STACKS
+
+
+def _scenario_names() -> Sequence[str]:
+    from repro.experiments.scenarios import SCENARIOS
+
+    return sorted(SCENARIOS)
+
+
+_SCHEDULERS = _DeferredChoices(_scheduler_stacks)
+_SCENARIOS = _DeferredChoices(_scenario_names)
+
 
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     """Arguments shared by every subcommand that runs a simulation."""
     parser.add_argument("inputs", nargs="*", help="workflow XML files")
     parser.add_argument("--trace", help="JSON workflow-set file (repro trace command output)")
-    parser.add_argument("--scheduler", choices=SCHEDULER_STACKS, default="woha-lpf")
+    parser.add_argument("--scheduler", choices=_SCHEDULERS, default="woha-lpf", metavar="STACK",
+                        help="scheduler stack: %(choices)s (default %(default)s)")
     parser.add_argument("--nodes", type=int, default=32)
     parser.add_argument("--map-slots", type=int, default=2, help="map slots per node")
     parser.add_argument("--reduce-slots", type=int, default=1, help="reduce slots per node")
@@ -77,6 +108,9 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
 
 def _load_scenario(args: argparse.Namespace) -> List[Workflow]:
     """Collect the scenario's workflows from XML files and/or a JSON set."""
+    from repro.workflow.xmlconfig import parse_workflow_xml
+    from repro.workloads.io import load_workflows
+
     workflows: List[Workflow] = []
     for path in args.inputs:
         with open(path) as fh:
@@ -88,6 +122,10 @@ def _load_scenario(args: argparse.Namespace) -> List[Workflow]:
 
 def _build_simulation(args: argparse.Namespace, trace=False) -> ClusterSimulation:
     """Construct the ClusterSimulation a scenario subcommand describes."""
+    from repro.cluster.config import ClusterConfig
+    from repro.cluster.simulation import ClusterSimulation
+    from repro.experiments.runner import _make_stack
+
     heartbeat = args.heartbeat if args.heartbeat > 0 else float("inf")
     config = ClusterConfig(
         num_nodes=args.nodes,
@@ -193,25 +231,30 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="cProfile one deterministic scenario and print the hot functions",
     )
-    profile.add_argument("--scenario", choices=sorted(SWEEP_SCENARIOS), default="yahoo",
-                         help="scenario to profile (default: yahoo)")
-    profile.add_argument("--scheduler", choices=SCHEDULER_STACKS, default="woha-lpf")
+    profile.add_argument("--scenario", choices=_SCENARIOS, default="yahoo", metavar="SCENARIO",
+                         help="scenario to profile: %(choices)s (default: yahoo)")
+    profile.add_argument("--scheduler", choices=_SCHEDULERS, metavar="STACK",
+                         help="scheduler stack: %(choices)s (default woha-lpf; "
+                              "not with --scenario serve)")
     profile.add_argument("--seed", type=int, default=0)
     profile.add_argument("--scale", type=float, default=0.25,
                          help="workload scale factor (1.0 = the bench-tier size)")
-    profile.add_argument("--nodes", type=int, default=8)
-    profile.add_argument("--heartbeat", type=float, default=3.0,
-                         help="heartbeat interval in seconds; 0 = event-driven")
+    profile.add_argument("--nodes", type=int, default=8,
+                         help="TaskTrackers (default 8); with --scenario serve, "
+                              "the tenant count")
+    profile.add_argument("--heartbeat", type=float,
+                         help="heartbeat interval in seconds; 0 = event-driven "
+                              "(default 3; not with --scenario serve)")
     profile.add_argument("--top", type=int, default=15,
                          help="how many functions to print (default 15)")
     profile.add_argument("--sort", choices=("cumulative", "tottime"), default="cumulative")
 
     sweep = sub.add_parser("sweep", help="run a sharded experiment grid")
-    sweep.add_argument("--scenario", action="append", choices=sorted(SWEEP_SCENARIOS),
-                       help="scenario(s) to include; repeatable (default: all)")
+    sweep.add_argument("--scenario", action="append", choices=_SCENARIOS, metavar="SCENARIO",
+                       help="scenario(s) to include: %(choices)s; repeatable (default: all)")
     sweep.add_argument("--scheduler", dest="schedulers", action="append",
-                       choices=SCHEDULER_STACKS,
-                       help="scheduler(s) to include; repeatable "
+                       choices=_SCHEDULERS, metavar="STACK",
+                       help="scheduler(s) to include: %(choices)s; repeatable "
                             "(default: fifo and woha-lpf)")
     sweep.add_argument("--seeds", type=int, default=1,
                        help="replications per (scenario, scheduler): grid seeds 0..N-1")
@@ -227,6 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    from repro.core.client import make_planner
+    from repro.metrics.report import format_table
+    from repro.workflow.xmlconfig import parse_workflow_xml
+
     with open(args.workflow_xml) as fh:
         workflow = parse_workflow_xml(fh.read())
     planner = make_planner(args.prioritizer, cap_search=not args.no_cap_search, pool=args.pool)
@@ -249,6 +296,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.metrics.report import format_table
+
     workflows = _load_scenario(args)
     if not workflows:
         print("no workflows given (pass XML files and/or --trace)", file=sys.stderr)
@@ -280,6 +329,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _changed_module_keys(ref: str) -> Optional[Set[str]]:
     """Module keys of files changed versus ``ref``, or ``None`` when git
     is unavailable (caller falls back to a full-tree report)."""
+    from repro.analysis.engine import module_key
+
     try:
         proc = subprocess.run(
             ["git", "diff", "--name-only", ref, "--", "*.py"],
@@ -295,6 +346,9 @@ def _changed_module_keys(ref: str) -> Optional[Set[str]]:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
+    from repro.analysis.engine import LintError, LintReport, lint_paths
+    from repro.analysis.rules import RULES
+
     if args.list_rules:
         for rule_id, description in sorted(RULES.items()):
             print(f"{rule_id}  {description}")
@@ -358,6 +412,9 @@ def _cmd_callgraph(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.workloads.io import save_workflows
+    from repro.workloads.yahoo import YahooTraceConfig, generate_yahoo_workflows
+
     config = YahooTraceConfig(
         num_workflows=args.workflows,
         total_jobs=args.jobs,
@@ -376,6 +433,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_decisions(args: argparse.Namespace) -> int:
+    from repro.metrics.postmortem import explain_miss
+
     workflows = _load_scenario(args)
     if not workflows:
         print("no workflows given (pass XML files and/or --trace)", file=sys.stderr)
@@ -416,13 +475,19 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if args.top <= 0:
         print(f"--top must be positive, got {args.top}", file=sys.stderr)
         return 2
+    if args.scenario == "serve":
+        # The serve scenario profiles the planning service, not a cluster.
+        for flag, value in (("--scheduler", args.scheduler), ("--heartbeat", args.heartbeat)):
+            if value is not None:
+                print(f"profile: {flag} does not apply to --scenario serve", file=sys.stderr)
+                return 2
     report = profile_scenario(
         args.scenario,
-        scheduler=args.scheduler,
+        scheduler=args.scheduler or "woha-lpf",
         seed=args.seed,
         scale=args.scale,
         nodes=args.nodes,
-        heartbeat=args.heartbeat,
+        heartbeat=3.0 if args.heartbeat is None else args.heartbeat,
         top=args.top,
         sort=args.sort,
     )
@@ -477,13 +542,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.experiments.runner import ExperimentCell, run_grid
+    from repro.metrics.report import format_table
+
     if args.seeds <= 0:
         print(f"--seeds must be positive, got {args.seeds}", file=sys.stderr)
         return 2
     if args.workers < 0:
         print(f"--workers must be >= 0, got {args.workers}", file=sys.stderr)
         return 2
-    scenarios = args.scenario or sorted(SWEEP_SCENARIOS)
+    scenarios = args.scenario or list(_SCENARIOS)
     schedulers = args.schedulers or ["fifo", "woha-lpf"]
     cells = [
         ExperimentCell(scenario, scheduler, seed=seed, nodes=args.nodes, scale=args.scale)

@@ -7,24 +7,19 @@ simulation (see DESIGN.md §2 for why this substitution preserves the
 paper's results).
 """
 
-from repro.cluster.config import ClusterConfig
-from repro.cluster.tasks import Task, TaskKind
-from repro.cluster.job import JobInProgress, SubmitterJob, JobState
-from repro.cluster.tasktracker import TaskTracker
-from repro.cluster.jobtracker import JobTracker, WorkflowInProgress
-from repro.cluster.simulation import ClusterSimulation, SimulationResult, WorkflowStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ClusterConfig",
-    "Task",
-    "TaskKind",
-    "JobInProgress",
-    "SubmitterJob",
-    "JobState",
-    "TaskTracker",
-    "JobTracker",
-    "WorkflowInProgress",
-    "ClusterSimulation",
-    "SimulationResult",
-    "WorkflowStats",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ClusterConfig": "repro.cluster.config",
+    "Task": "repro.cluster.tasks",
+    "TaskKind": "repro.cluster.tasks",
+    "JobInProgress": "repro.cluster.job",
+    "SubmitterJob": "repro.cluster.job",
+    "JobState": "repro.cluster.job",
+    "TaskTracker": "repro.cluster.tasktracker",
+    "JobTracker": "repro.cluster.jobtracker",
+    "WorkflowInProgress": "repro.cluster.jobtracker",
+    "ClusterSimulation": "repro.cluster.simulation",
+    "SimulationResult": "repro.cluster.simulation",
+    "WorkflowStats": "repro.cluster.simulation",
+})

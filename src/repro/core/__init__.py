@@ -9,28 +9,22 @@
 * :mod:`repro.core.client` — the WOHA client (validate → plan → submit).
 """
 
-from repro.core.progress import ProgressEntry, ProgressPlan
-from repro.core.plangen import generate_requirements, simulate_makespan
-from repro.core.capsearch import find_min_cap, CapSearchResult
-from repro.core.plancache import PlanCache
-from repro.core.priorities import hlf_order, lpf_order, mpf_order, PRIORITIZERS
-from repro.core.scheduler import WohaScheduler, NaiveWohaScheduler
-from repro.core.client import WohaClient, make_planner
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ProgressEntry",
-    "ProgressPlan",
-    "generate_requirements",
-    "simulate_makespan",
-    "find_min_cap",
-    "CapSearchResult",
-    "PlanCache",
-    "hlf_order",
-    "lpf_order",
-    "mpf_order",
-    "PRIORITIZERS",
-    "WohaScheduler",
-    "NaiveWohaScheduler",
-    "WohaClient",
-    "make_planner",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ProgressEntry": "repro.core.progress",
+    "ProgressPlan": "repro.core.progress",
+    "generate_requirements": "repro.core.plangen",
+    "simulate_makespan": "repro.core.plangen",
+    "find_min_cap": "repro.core.capsearch",
+    "CapSearchResult": "repro.core.capsearch",
+    "PlanCache": "repro.core.plancache",
+    "hlf_order": "repro.core.priorities",
+    "lpf_order": "repro.core.priorities",
+    "mpf_order": "repro.core.priorities",
+    "PRIORITIZERS": "repro.core.priorities",
+    "WohaScheduler": "repro.core.scheduler",
+    "NaiveWohaScheduler": "repro.core.scheduler",
+    "WohaClient": "repro.core.client",
+    "make_planner": "repro.core.client",
+})

@@ -16,9 +16,8 @@ framework's central design decision.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, Optional, Sequence, Tuple, Union
 
-from repro.cluster.jobtracker import JobTracker, WorkflowInProgress
 from repro.core.capsearch import (
     CapSearchResult,
     SplitCapSearchResult,
@@ -33,6 +32,9 @@ from repro.core.progress import ProgressPlan
 from repro.hdfs import HdfsNamespace
 from repro.workflow.model import Workflow, WorkflowValidationError
 from repro.workflow.xmlconfig import parse_workflow_xml
+
+if TYPE_CHECKING:  # the planning core never imports the master at run time
+    from repro.cluster.jobtracker import JobTracker, WorkflowInProgress
 
 __all__ = [
     "ValidationError",

@@ -6,20 +6,13 @@ deterministic payload; :mod:`repro.experiments.scenarios` is the picklable
 scenario registry the workers draw workloads from.
 """
 
-from repro.experiments.runner import (
-    CellResult,
-    ExperimentCell,
-    GridResult,
-    run_grid,
-    shard_seed,
-)
-from repro.experiments.scenarios import SCENARIOS
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CellResult",
-    "ExperimentCell",
-    "GridResult",
-    "SCENARIOS",
-    "run_grid",
-    "shard_seed",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "CellResult": "repro.experiments.runner",
+    "ExperimentCell": "repro.experiments.runner",
+    "GridResult": "repro.experiments.runner",
+    "SCENARIOS": "repro.experiments.scenarios",
+    "run_grid": "repro.experiments.runner",
+    "shard_seed": "repro.experiments.runner",
+})

@@ -33,6 +33,46 @@ class WorkflowValidationError(ValueError):
     """
 
 
+def check_task_fields(
+    where: str,
+    maps: int,
+    reduces: int,
+    map_duration: float,
+    reduce_duration: float,
+    keys: Tuple[str, str, str, str] = ("maps", "reduces", "map_duration", "reduce_duration"),
+) -> None:
+    """Reject a negative task count, a job with no tasks, or a non-positive
+    duration for a phase that has tasks, naming the field.
+
+    ``keys`` spell the four fields as the input does (the default is the
+    JSON spelling; XML says ``map-duration``) and ``where`` names the
+    workflow and the job, so a reader that checks before building the
+    :class:`WJob` reports the field the user wrote.
+    """
+    maps_key, reduces_key, map_key, reduce_key = keys
+    if maps < 0:
+        raise WorkflowValidationError(f"{where}: {maps_key!r} must be >= 0, got {maps}")
+    if reduces < 0:
+        raise WorkflowValidationError(f"{where}: {reduces_key!r} must be >= 0, got {reduces}")
+    if maps == 0 and reduces == 0:
+        raise WorkflowValidationError(
+            f"{where}: job has no tasks ({maps_key!r} and {reduces_key!r} are both 0)"
+        )
+    if maps > 0 and map_duration <= 0:
+        raise WorkflowValidationError(
+            f"{where}: {map_key!r} must be positive when {maps_key!r} > 0, got {map_duration:g}"
+        )
+    if reduces > 0 and reduce_duration <= 0:
+        raise WorkflowValidationError(
+            f"{where}: {reduce_key!r} must be positive when {reduces_key!r} > 0, "
+            f"got {reduce_duration:g}"
+        )
+
+
+#: :func:`check_task_fields` keys for a :class:`WJob` built in code.
+_WJOB_KEYS = ("num_maps", "num_reduces", "map_duration", "reduce_duration")
+
+
 @dataclass(frozen=True)
 class WJob:
     """One Map-Reduce job inside a workflow (a *wjob*).
@@ -66,18 +106,12 @@ class WJob:
     def __post_init__(self) -> None:
         if not self.name:
             raise WorkflowValidationError("wjob name must be non-empty")
-        if self.num_maps < 0 or self.num_reduces < 0:
-            raise WorkflowValidationError(f"{self.name}: negative task count")
-        if self.num_maps == 0 and self.num_reduces == 0:
-            raise WorkflowValidationError(f"{self.name}: job has no tasks")
         if not math.isfinite(self.map_duration):
             raise WorkflowValidationError(f"{self.name}: non-finite map duration")
         if not math.isfinite(self.reduce_duration):
             raise WorkflowValidationError(f"{self.name}: non-finite reduce duration")
-        if self.num_maps > 0 and self.map_duration <= 0:
-            raise WorkflowValidationError(f"{self.name}: non-positive map duration")
-        if self.num_reduces > 0 and self.reduce_duration <= 0:
-            raise WorkflowValidationError(f"{self.name}: non-positive reduce duration")
+        check_task_fields(self.name, self.num_maps, self.num_reduces, self.map_duration,
+                          self.reduce_duration, _WJOB_KEYS)
         if self.name in self.prerequisites:
             raise WorkflowValidationError(f"{self.name}: job depends on itself")
         # Normalise collection types so hashing/equality behave.
@@ -135,21 +169,11 @@ class Workflow:
     ) -> None:
         self.name = name
         self.jobs: Tuple[WJob, ...] = tuple(jobs)
-        self.submit_time = float(submit_time)
-        self.deadline = None if deadline is None else float(deadline)
         if not self.name:
             raise WorkflowValidationError("workflow name must be non-empty")
         if not self.jobs:
             raise WorkflowValidationError(f"{name}: workflow has no jobs")
-        # Negated acceptance tests, so NaN (false in every comparison) fails.
-        if not -math.inf < self.submit_time < math.inf:
-            raise WorkflowValidationError(f"{name}: non-finite submit time {self.submit_time}")
-        if self.deadline is not None and not self.deadline < math.inf:
-            raise WorkflowValidationError(f"{name}: non-finite deadline {self.deadline}")
-        if self.deadline is not None and self.deadline < self.submit_time:
-            raise WorkflowValidationError(
-                f"{name}: deadline {self.deadline} precedes submit time {self.submit_time}"
-            )
+        self._set_timing(submit_time, deadline)
         self._by_name: Dict[str, WJob] = {}
         for job in self.jobs:
             if job.name in self._by_name:
@@ -167,6 +191,20 @@ class Workflow:
         self._topo_order: Tuple[str, ...] = self._toposort()
         #: fn -> fn(self), filled by :meth:`derived`.
         self._derived: Dict[Callable[["Workflow"], Any], Any] = {}
+
+    def _set_timing(self, submit_time: float, deadline: Optional[float]) -> None:
+        """Validate and set ``S_i`` / ``D_i`` (constructor and :meth:`with_timing`)."""
+        self.submit_time = float(submit_time)
+        self.deadline = None if deadline is None else float(deadline)
+        # Negated acceptance tests, so NaN (false in every comparison) fails.
+        if not -math.inf < self.submit_time < math.inf:
+            raise WorkflowValidationError(f"{self.name}: non-finite submit time {self.submit_time}")
+        if self.deadline is not None and not self.deadline < math.inf:
+            raise WorkflowValidationError(f"{self.name}: non-finite deadline {self.deadline}")
+        if self.deadline is not None and self.deadline < self.submit_time:
+            raise WorkflowValidationError(
+                f"{self.name}: deadline {self.deadline} precedes submit time {self.submit_time}"
+            )
 
     # -- structure -----------------------------------------------------
 
@@ -273,9 +311,18 @@ class Workflow:
         """A copy of this workflow with new ``S_i`` / ``D_i``.
 
         Used for recurrent submissions (Fig 12) where the same topology is
-        released repeatedly with shifted timing.
+        released repeatedly with shifted timing.  The copy shares this
+        workflow's already-validated structure (job index, dependents,
+        topological order) and checks only the new timing; it starts with
+        an empty :meth:`derived` memo.
         """
-        return Workflow(self.name, self.jobs, submit_time=submit_time, deadline=deadline)
+        retimed = Workflow.__new__(Workflow)
+        retimed.name, retimed.jobs = self.name, self.jobs
+        retimed._set_timing(submit_time, deadline)
+        retimed._by_name, retimed._dependents = self._by_name, self._dependents
+        retimed._topo_order = self._topo_order
+        retimed._derived = {}
+        return retimed
 
     def renamed(self, name: str) -> "Workflow":
         """A copy with a different workflow name (recurrence instances)."""

@@ -28,7 +28,7 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from typing import Callable, Dict, List, Optional, Set, TypeVar
 
-from repro.workflow.model import WJob, Workflow, WorkflowValidationError
+from repro.workflow.model import WJob, Workflow, WorkflowValidationError, check_task_fields
 
 __all__ = ["parse_workflow_xml", "workflow_to_xml", "infer_prerequisites"]
 
@@ -136,13 +136,19 @@ def parse_workflow_xml(text: str) -> Workflow:
     for elem in root.findall("job"):
         job_name = _require_attr(elem, "name", f"workflow {name!r} <job>")
         context = f"workflow {name!r} job {job_name!r}"
+        maps = _numeric_attr(elem, "maps", context, int)
+        reduces = _numeric_attr(elem, "reduces", context, int)
+        map_duration = _numeric_attr(elem, "map-duration", context, float, "0")
+        reduce_duration = _numeric_attr(elem, "reduce-duration", context, float, "0")
+        check_task_fields(context, maps, reduces, map_duration, reduce_duration,
+                          keys=("maps", "reduces", "map-duration", "reduce-duration"))
         jobs.append(
             WJob(
                 name=job_name,
-                num_maps=_numeric_attr(elem, "maps", context, int),
-                num_reduces=_numeric_attr(elem, "reduces", context, int),
-                map_duration=_numeric_attr(elem, "map-duration", context, float, "0"),
-                reduce_duration=_numeric_attr(elem, "reduce-duration", context, float, "0"),
+                num_maps=maps,
+                num_reduces=reduces,
+                map_duration=map_duration,
+                reduce_duration=reduce_duration,
                 prerequisites=frozenset(e.text.strip() for e in elem.findall("after") if e.text),
                 inputs=tuple(e.text.strip() for e in elem.findall("input") if e.text),
                 outputs=tuple(e.text.strip() for e in elem.findall("output") if e.text),

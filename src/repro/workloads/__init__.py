@@ -1,32 +1,21 @@
 """Workload generation: the paper's synthetic and Yahoo!-like inputs."""
 
-from repro.workloads.distributions import TraceDistributions, JobShape, cdf_points
-from repro.workloads.topologies import (
-    FIG11_DURATION_SCALE,
-    fig7_topology,
-    fig11_workflows,
-    chain_workflow,
-    fanout_workflow,
-    diamond_workflow,
-    random_dag_workflow,
-)
-from repro.workloads.yahoo import YahooTraceConfig, generate_yahoo_workflows, generate_job_trace
-from repro.workloads.deadlines import assign_deadlines, stretch_deadline
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TraceDistributions",
-    "JobShape",
-    "cdf_points",
-    "fig7_topology",
-    "fig11_workflows",
-    "FIG11_DURATION_SCALE",
-    "chain_workflow",
-    "fanout_workflow",
-    "diamond_workflow",
-    "random_dag_workflow",
-    "YahooTraceConfig",
-    "generate_yahoo_workflows",
-    "generate_job_trace",
-    "assign_deadlines",
-    "stretch_deadline",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "TraceDistributions": "repro.workloads.distributions",
+    "JobShape": "repro.workloads.distributions",
+    "cdf_points": "repro.workloads.distributions",
+    "fig7_topology": "repro.workloads.topologies",
+    "fig11_workflows": "repro.workloads.topologies",
+    "FIG11_DURATION_SCALE": "repro.workloads.topologies",
+    "chain_workflow": "repro.workloads.topologies",
+    "fanout_workflow": "repro.workloads.topologies",
+    "diamond_workflow": "repro.workloads.topologies",
+    "random_dag_workflow": "repro.workloads.topologies",
+    "YahooTraceConfig": "repro.workloads.yahoo",
+    "generate_yahoo_workflows": "repro.workloads.yahoo",
+    "generate_job_trace": "repro.workloads.yahoo",
+    "assign_deadlines": "repro.workloads.deadlines",
+    "stretch_deadline": "repro.workloads.deadlines",
+})

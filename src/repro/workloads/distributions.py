@@ -69,34 +69,26 @@ class TraceDistributions:
 
     def sample_map_duration(self) -> float:
         """Seconds per map task, clipped to [3 s, 1 h]."""
-        return float(np.clip(
-            _lognormal(self._rng, self.MAP_DURATION_MEDIAN, self.MAP_DURATION_SIGMA), 3.0, 3600.0
-        ))
+        seconds = _lognormal(self._rng, self.MAP_DURATION_MEDIAN, self.MAP_DURATION_SIGMA)
+        return min(max(seconds, 3.0), 3600.0)
 
     def sample_reduce_duration(self) -> float:
         """Seconds per reduce task, clipped to [5 s, 4 h]."""
-        return float(np.clip(
-            _lognormal(self._rng, self.REDUCE_DURATION_MEDIAN, self.REDUCE_DURATION_SIGMA),
-            5.0,
-            4 * 3600.0,
-        ))
+        seconds = _lognormal(self._rng, self.REDUCE_DURATION_MEDIAN, self.REDUCE_DURATION_SIGMA)
+        return min(max(seconds, 5.0), 4 * 3600.0)
 
     def sample_map_count(self) -> int:
         """Mappers per job, clipped to [1, max_maps] (default 3000)."""
-        return int(np.clip(
-            round(_lognormal(self._rng, self.MAP_COUNT_MEDIAN, self.MAP_COUNT_SIGMA)), 1, self.max_maps
-        ))
+        count = round(_lognormal(self._rng, self.MAP_COUNT_MEDIAN, self.MAP_COUNT_SIGMA))
+        return int(min(max(count, 1), self.max_maps))
 
     def sample_reduce_count(self) -> int:
         """Reducers per job, clipped to [0, max_reduces] (default 500);
         ~7% of jobs are map-only."""
         if self._rng.random() < 0.07:
             return 0
-        return int(np.clip(
-            round(_lognormal(self._rng, self.REDUCE_COUNT_MEDIAN, self.REDUCE_COUNT_SIGMA)),
-            1,
-            self.max_reduces,
-        ))
+        count = round(_lognormal(self._rng, self.REDUCE_COUNT_MEDIAN, self.REDUCE_COUNT_SIGMA))
+        return int(min(max(count, 1), self.max_reduces))
 
     def sample_job(self, scale: float = 1.0) -> JobShape:
         """One job shape; ``scale`` shrinks task counts for small-cluster

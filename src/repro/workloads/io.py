@@ -12,7 +12,7 @@ import json
 import math
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.workflow.model import WJob, Workflow, WorkflowValidationError
+from repro.workflow.model import WJob, Workflow, WorkflowValidationError, check_task_fields
 
 __all__ = ["workflows_to_json", "workflows_from_json", "save_workflows", "load_workflows"]
 
@@ -37,6 +37,13 @@ def _job_to_dict(job: WJob) -> Dict[str, Any]:
     if job.main_class:
         data["main_class"] = job.main_class
     return data
+
+
+def _field(data: Dict[str, Any], key: str, where: str) -> Any:
+    """A required field of a workflow or job object."""
+    if key not in data:
+        raise WorkflowValidationError(f"{where}: missing field {key!r}")
+    return data[key]
 
 
 def _name(value: Any, where: str) -> str:
@@ -89,13 +96,20 @@ def _objects(value: Any, where: str, key: str) -> List[Dict[str, Any]]:
 
 
 def _job_from_dict(data: Dict[str, Any], workflow: str) -> WJob:
-    where = f"workflow {workflow!r} job {data['name']!r}"
+    raw_name = _field(data, "name", f"workflow {workflow!r} job")
+    where = f"workflow {workflow!r} job {raw_name!r}"
+    name = _name(raw_name, where)
+    maps = _count(_field(data, "maps", where), where, "maps")
+    reduces = _count(_field(data, "reduces", where), where, "reduces")
+    map_duration = _number(_field(data, "map_duration", where), where, "map_duration")
+    reduce_duration = _number(_field(data, "reduce_duration", where), where, "reduce_duration")
+    check_task_fields(where, maps, reduces, map_duration, reduce_duration)
     return WJob(
-        name=_name(data["name"], where),
-        num_maps=_count(data["maps"], where, "maps"),
-        num_reduces=_count(data["reduces"], where, "reduces"),
-        map_duration=_number(data["map_duration"], where, "map_duration"),
-        reduce_duration=_number(data["reduce_duration"], where, "reduce_duration"),
+        name=name,
+        num_maps=maps,
+        num_reduces=reduces,
+        map_duration=map_duration,
+        reduce_duration=reduce_duration,
         prerequisites=frozenset(_strings(data.get("after", []), where, "after")),
         inputs=tuple(_strings(data.get("inputs", []), where, "inputs")),
         outputs=tuple(_strings(data.get("outputs", []), where, "outputs")),
@@ -133,14 +147,15 @@ def workflows_from_json(text: str) -> List[Workflow]:
     if type(version) is not int or version != _FORMAT_VERSION:  # not true, not 1.0
         raise ValueError(f"unsupported workflow-set 'version' {version!r:.40}")
     workflows = []
-    for entry in _objects(doc["workflows"], "workflow set", "workflows"):
-        name = _name(entry["name"], "workflow")
+    for entry in _objects(_field(doc, "workflows", "workflow set"), "workflow set", "workflows"):
+        name = _name(_field(entry, "name", "workflow"), "workflow")
         where = f"workflow {name!r}"
+        jobs = _objects(_field(entry, "jobs", where), where, "jobs")
         deadline = entry.get("deadline")
         workflows.append(
             Workflow(
                 name,
-                [_job_from_dict(j, name) for j in _objects(entry["jobs"], where, "jobs")],
+                [_job_from_dict(j, name) for j in jobs],
                 submit_time=_number(entry.get("submit", 0.0), where, "submit"),
                 deadline=None if deadline is None else _number(deadline, where, "deadline"),
             )

@@ -10,7 +10,7 @@ import pytest
 
 import repro
 from repro import cli
-from repro.analysis import LintReport
+from repro.analysis import LintReport, engine
 
 from repro.cluster.config import ClusterConfig
 from repro.workflow.builder import WorkflowBuilder
@@ -89,7 +89,7 @@ def interproc_lint_runs() -> List[LintRun]:
     their own.  The report each run rendered is kept, so the text form
     (what ``--format text`` prints) can be checked without a third run.
     """
-    real_lint_paths = cli.lint_paths
+    real_lint_paths = engine.lint_paths
     reports: List[LintReport] = []
 
     def recording_lint_paths(*args, **kwargs):
@@ -101,7 +101,8 @@ def interproc_lint_runs() -> List[LintRun]:
         "--baseline", str(Path(__file__).parents[1] / "lint-baseline.txt"),
     ]
     runs = []
-    with mock.patch.object(cli, "lint_paths", recording_lint_paths):
+    # ``repro lint`` imports ``lint_paths`` from the engine when it runs.
+    with mock.patch.object(engine, "lint_paths", recording_lint_paths):
         for _ in range(2):
             out = io.StringIO()
             with contextlib.redirect_stdout(out):

@@ -325,14 +325,18 @@ class TestProtocolEdges:
         serve(check)
 
 
-def json_body(jobs=None, **workflow_fields):
-    """A one-workflow ``repro-workflows`` body; NaN/inf dump as JSON literals."""
+def json_body(jobs=None, missing=(), **workflow_fields):
+    """A one-workflow ``repro-workflows`` body; NaN/inf dump as JSON literals.
+    Keys in ``missing`` are left out of every job."""
     if jobs is None:
         jobs = [{}]
     base = {"name": "a", "maps": 2, "reduces": 1, "map_duration": 10.0,
             "reduce_duration": 5.0, "after": []}
     workflow = {"name": "w", "submit": 0.0, "deadline": 500.0,
                 "jobs": [{**base, **job} for job in jobs], **workflow_fields}
+    for job in workflow["jobs"]:
+        for key in missing:
+            del job[key]
     doc = {"format": "repro-workflows", "version": 1, "workflows": [workflow]}
     return json.dumps(doc).encode()
 
@@ -390,6 +394,23 @@ MALFORMED_BODIES = {
                  "workflow 'w' job 'a': 'jar' must be a string, got [1]"),
     "main-class-number": (JSON, json_body([{"main_class": 3}]),
                           "workflow 'w' job 'a': 'main_class' must be a string, got 3"),
+    # Range checks and missing fields name the workflow, the job and the field.
+    "maps-negative": (JSON, json_body([{"maps": -2}]),
+                      "workflow 'w' job 'a': 'maps' must be >= 0, got -2"),
+    "xml-maps-negative": (XML, xml_body(maps="-2"),
+                          "workflow 'w' job 'a': 'maps' must be >= 0, got -2"),
+    "map-duration-zero": (JSON, json_body([{"map_duration": 0}]),
+                          "workflow 'w' job 'a': 'map_duration' must be positive when "
+                          "'maps' > 0, got 0"),
+    "xml-map-duration-negative": (XML, xml_body(map_duration="-10"),
+                                  "workflow 'w' job 'a': 'map-duration' must be positive when "
+                                  "'maps' > 0, got -10"),
+    "xml-no-tasks": (XML, xml_body(maps="0", reduces="0"),
+                     "workflow 'w' job 'a': job has no tasks ('maps' and 'reduces' are both 0)"),
+    "missing-maps": (JSON, json_body(missing=["maps"]),
+                     "workflow 'w' job 'a': missing field 'maps'"),
+    "missing-job-name": (JSON, json_body(missing=["name"]),
+                         "workflow 'w' job: missing field 'name'"),
     # json.loads raises RecursionError on deep nesting.
     "json-nested-200kb": (JSON, b"[" * 200_000, "bad workflow JSON"),
 }

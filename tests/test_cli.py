@@ -215,6 +215,20 @@ class TestProfileCommand:
         assert main(["profile", "--top", "0"]) == 2
         assert "--top must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--scheduler", "fifo"], ["--heartbeat", "9"]])
+    def test_serve_scenario_rejects_cluster_flags(self, flag, capsys):
+        assert main(["profile", "--scenario", "serve", *flag]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag[0]} does not apply to --scenario serve" in err
+
+    def test_help_names_the_serve_tenant_count(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "with --scenario serve, the tenant count" in out
+        assert "woha-lpf" in out and "periodic" in out  # deferred choices still listed
+
     @pytest.mark.parametrize("argv", [["profile", "--reference"], ["sweep", "--batched"]])
     def test_retired_flags_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -295,3 +309,12 @@ class TestSweepCommand:
         assert main(["sweep", "--seeds", "0"]) == 2
         assert main(["sweep", "--workers", "-1"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flag, value", [("--scheduler", "nope"), ("--scenario", "nope")])
+    def test_unknown_choice_is_a_usage_error_listing_the_choices(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'nope'" in err
+        assert ("'woha-lpf'" if flag == "--scheduler" else "'periodic'") in err

@@ -41,11 +41,12 @@ class TestWJobValidation:
             WJob(name="x", num_maps=0, num_reduces=0, map_duration=1.0, reduce_duration=1.0)
 
     def test_negative_counts_rejected(self):
-        with pytest.raises(WorkflowValidationError):
+        with pytest.raises(WorkflowValidationError, match="x: 'num_maps' must be >= 0, got -1"):
             WJob(name="x", num_maps=-1, num_reduces=1, map_duration=1.0, reduce_duration=1.0)
 
     def test_nonpositive_duration_rejected(self):
-        with pytest.raises(WorkflowValidationError):
+        with pytest.raises(WorkflowValidationError,
+                           match="x: 'map_duration' must be positive when 'num_maps' > 0"):
             WJob(name="x", num_maps=1, num_reduces=0, map_duration=0.0, reduce_duration=0.0)
 
     def test_self_dependency_rejected(self):
@@ -142,6 +143,36 @@ class TestWorkflowStructure:
         assert shifted.deadline == 250.0
         assert diamond.submit_time == 0.0  # original untouched
         assert shifted.job_names() == diamond.job_names()
+
+    def test_with_timing_shares_structure_not_the_memo(self, diamond):
+        calls = []
+
+        def count_calls(workflow):
+            calls.append(workflow)
+            return len(calls)
+
+        assert diamond.derived(count_calls) == 1
+        shifted = diamond.with_timing(submit_time=50.0, deadline=250.0)
+        fresh = Workflow(diamond.name, diamond.jobs, submit_time=50.0, deadline=250.0)
+        assert shifted.topological_order() is diamond.topological_order()
+        assert shifted.topological_order() == fresh.topological_order()
+        assert [shifted.dependents(n) for n in "abcd"] == [fresh.dependents(n) for n in "abcd"]
+        assert shifted.job("c") is diamond.job("c")
+        assert shifted.relative_deadline == fresh.relative_deadline == 200.0
+        assert shifted.derived(count_calls) == 2 and diamond.derived(count_calls) == 1
+        assert calls == [diamond, shifted]
+
+    @pytest.mark.parametrize(
+        "submit, deadline, message",
+        [
+            (10.0, 5.0, "deadline 5.0 precedes submit time 10.0"),
+            (float("nan"), None, "non-finite submit time"),
+            (0.0, float("inf"), "non-finite deadline"),
+        ],
+    )
+    def test_with_timing_validates_the_new_timing(self, diamond, submit, deadline, message):
+        with pytest.raises(WorkflowValidationError, match=f"d: {message}"):
+            diamond.with_timing(submit_time=submit, deadline=deadline)
 
     def test_renamed_copies(self, diamond):
         clone = diamond.renamed("d2")

@@ -81,3 +81,20 @@ class TestValidation:
 
         with pytest.raises(WorkflowValidationError):
             workflows_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('{"format": "repro-workflows", "version": 1}',
+             "workflow set: missing field 'workflows'"),
+            ('{"format": "repro-workflows", "version": 1, "workflows": [{"jobs": []}]}',
+             "workflow: missing field 'name'"),
+            ('{"format": "repro-workflows", "version": 1, "workflows": [{"name": "w"}]}',
+             "workflow 'w': missing field 'jobs'"),
+        ],
+    )
+    def test_missing_set_and_workflow_fields_are_named(self, doc, message):
+        from repro.workflow.model import WorkflowValidationError
+
+        with pytest.raises(WorkflowValidationError, match=message):
+            workflows_from_json(doc)
