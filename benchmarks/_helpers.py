@@ -14,53 +14,47 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.simulation import ClusterSimulation, SimulationResult
-from repro.core.client import make_planner
 from repro.core.plancache import PlanCache
-from repro.core.scheduler import WohaScheduler
-from repro.schedulers.edf import EdfScheduler
-from repro.schedulers.fair import FairScheduler
-from repro.schedulers.fifo import FifoScheduler
+from repro.registry import STACKS, SchedulerStack, make_stack
+from repro.schedulers.base import WorkflowScheduler
 from repro.workflow.model import Workflow
 from repro.workloads.topologies import fig11_workflows
 from repro.workloads.yahoo import YahooTraceConfig, generate_yahoo_workflows
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
+#: The paper's six stacks (repro.registry.STACKS) by figure label, in its
+#: plotting order; the benches key their runs and rows by these labels.
+STACK_BY_LABEL: Dict[str, SchedulerStack] = {stack.label: stack for stack in STACKS}
+
 #: One plan cache per WOHA stack, shared by every bench in the session.
 #: Cached plans are byte-identical to freshly generated ones
 #: (tests/integration/test_plan_equivalence.py), so this only removes the
 #: repeated cap searches when several benches replan the same workloads.
 PLAN_CACHES: Dict[str, PlanCache] = {
-    name: PlanCache(capacity=1024) for name in ("WOHA-HLF", "WOHA-MPF", "WOHA-LPF")
+    stack.label: PlanCache(capacity=1024) for stack in STACKS if stack.prioritizer
 }
-
-#: The six stacks of the paper's evaluation, in its plotting order.
-STACKS: List[Tuple[str, Callable[[], Tuple[object, str, Optional[Callable]]]]] = [
-    ("EDF", lambda: (EdfScheduler(), "oozie", None)),
-    ("FIFO", lambda: (FifoScheduler(), "oozie", None)),
-    ("Fair", lambda: (FairScheduler(), "oozie", None)),
-    ("WOHA-HLF", lambda: (WohaScheduler(), "woha", make_planner("hlf", plan_cache=PLAN_CACHES["WOHA-HLF"]))),
-    ("WOHA-MPF", lambda: (WohaScheduler(), "woha", make_planner("mpf", plan_cache=PLAN_CACHES["WOHA-MPF"]))),
-    ("WOHA-LPF", lambda: (WohaScheduler(), "woha", make_planner("lpf", plan_cache=PLAN_CACHES["WOHA-LPF"]))),
-]
 
 #: The paper's Fig 8-10 cluster sizes: "200m-200r" etc.
 CLUSTER_SIZES: List[Tuple[int, int]] = [(200, 200), (240, 240), (280, 280)]
 
 
+def build_stack(label: str) -> Tuple[WorkflowScheduler, str, Optional[Callable]]:
+    """:func:`~repro.registry.make_stack` for a figure label, planning
+    through that label's shared plan cache."""
+    return make_stack(STACK_BY_LABEL[label].name, plan_cache=PLAN_CACHES.get(label))
+
+
 def run_stack(
-    name: str,
+    label: str,
     workflows: List[Workflow],
     config: ClusterConfig,
 ) -> SimulationResult:
-    """Run one named scheduler stack over the workflows."""
-    for stack_name, factory in STACKS:
-        if stack_name == name:
-            scheduler, mode, planner = factory()
-            sim = ClusterSimulation(config, scheduler, submission=mode, planner=planner)
-            sim.add_workflows(workflows)
-            return sim.run()
-    raise KeyError(name)
+    """Run the stack with figure label ``label`` over the workflows."""
+    scheduler, mode, planner = build_stack(label)
+    sim = ClusterSimulation(config, scheduler, submission=mode, planner=planner)
+    sim.add_workflows(workflows)
+    return sim.run()
 
 
 @functools.lru_cache(maxsize=None)
@@ -76,8 +70,8 @@ def fig8_sweep() -> Dict[Tuple[str, Tuple[int, int]], SimulationResult]:
     results: Dict[Tuple[str, Tuple[int, int]], SimulationResult] = {}
     for maps, reduces in CLUSTER_SIZES:
         config = ClusterConfig.from_total_slots(maps, reduces, nodes=40, heartbeat_interval=float("inf"))
-        for name, _factory in STACKS:
-            results[(name, (maps, reduces))] = run_stack(name, workflows, config)
+        for label in STACK_BY_LABEL:
+            results[(label, (maps, reduces))] = run_stack(label, workflows, config)
     return results
 
 
@@ -87,7 +81,7 @@ def fig11_runs() -> Dict[str, SimulationResult]:
     config = ClusterConfig(
         num_nodes=32, map_slots_per_node=2, reduce_slots_per_node=1, heartbeat_interval=float("inf")
     )
-    return {name: run_stack(name, fig11_workflows(), config) for name, _f in STACKS}
+    return {label: run_stack(label, fig11_workflows(), config) for label in STACK_BY_LABEL}
 
 
 def emit(figure: str, table: str) -> None:

@@ -10,13 +10,13 @@ analysed in EXPERIMENTS.md.
 
 from repro.metrics.report import format_table
 
-from benchmarks._helpers import CLUSTER_SIZES, STACKS, emit, fig8_sweep
+from benchmarks._helpers import CLUSTER_SIZES, STACK_BY_LABEL, emit, fig8_sweep
 
 
 def test_fig08_miss_ratio(benchmark):
     sweep = benchmark.pedantic(fig8_sweep, rounds=1, iterations=1)
     rows = []
-    for name, _f in STACKS:
+    for name in STACK_BY_LABEL:
         row = [name]
         for size in CLUSTER_SIZES:
             row.append(sweep[(name, size)].miss_ratio)
@@ -32,5 +32,5 @@ def test_fig08_miss_ratio(benchmark):
         woha = sweep[("WOHA-LPF", size)].miss_ratio
         assert fifo >= woha, f"FIFO should miss at least as much as WOHA at {size}"
     # Curves converge at the largest size.
-    big = [sweep[(n, (280, 280))].miss_ratio for n, _ in STACKS if n not in ("FIFO", "Fair")]
+    big = [sweep[(n, (280, 280))].miss_ratio for n in STACK_BY_LABEL if n not in ("FIFO", "Fair")]
     assert max(big) - min(big) <= 0.1

@@ -7,13 +7,13 @@ even less — reducing tardiness is explicitly *not* WOHA's objective.
 
 from repro.metrics.report import format_table
 
-from benchmarks._helpers import CLUSTER_SIZES, STACKS, emit, fig8_sweep
+from benchmarks._helpers import CLUSTER_SIZES, STACK_BY_LABEL, emit, fig8_sweep
 
 
 def test_fig10_total_tardiness(benchmark):
     sweep = benchmark.pedantic(fig8_sweep, rounds=1, iterations=1)
     rows = []
-    for name, _f in STACKS:
+    for name in STACK_BY_LABEL:
         row = [name]
         for size in CLUSTER_SIZES:
             row.append(sweep[(name, size)].total_tardiness)

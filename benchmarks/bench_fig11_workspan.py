@@ -7,7 +7,7 @@ expense; all three WOHA variants satisfy every deadline.
 
 from repro.metrics.report import format_table
 
-from benchmarks._helpers import STACKS, emit, fig11_runs
+from benchmarks._helpers import STACK_BY_LABEL, emit, fig11_runs
 
 DEADLINES = {"W-1": 4800.0, "W-2": 4200.0, "W-3": 3600.0}
 
@@ -15,7 +15,7 @@ DEADLINES = {"W-1": 4800.0, "W-2": 4200.0, "W-3": 3600.0}
 def test_fig11_workspan(benchmark):
     runs = benchmark.pedantic(fig11_runs, rounds=1, iterations=1)
     rows = []
-    for name, _f in STACKS:
+    for name in STACK_BY_LABEL:
         result = runs[name]
         rows.append(
             [name]
@@ -39,5 +39,5 @@ def test_fig11_workspan(benchmark):
     assert runs["FIFO"].miss_ratio > 0.0
     assert runs["Fair"].miss_ratio > 0.0
     # EDF's signature distortion: W-3 finishes earliest under EDF.
-    w3 = {name: runs[name].stats["W-3"].workspan for name, _f in STACKS}
+    w3 = {name: runs[name].stats["W-3"].workspan for name in STACK_BY_LABEL}
     assert min(w3, key=w3.get) == "EDF"

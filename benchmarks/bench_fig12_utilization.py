@@ -10,19 +10,19 @@ staggered releases of the same topology (the Fig 11 input).
 
 from repro.metrics.report import format_table
 
-from benchmarks._helpers import STACKS, emit, fig11_runs
+from benchmarks._helpers import STACK_BY_LABEL, emit, fig11_runs
 
 
 def test_fig12_utilization(benchmark):
     runs = benchmark.pedantic(fig11_runs, rounds=1, iterations=1)
-    rows = [[name, runs[name].utilization] for name, _f in STACKS]
+    rows = [[name, runs[name].utilization] for name in STACK_BY_LABEL]
     table = format_table(
         ["scheduler", "utilization"],
         rows,
         title="Fig 12: cluster utilization with 3 recurrences",
     )
     emit("fig12_utilization", table)
-    utils = {name: runs[name].utilization for name, _f in STACKS}
+    utils = {name: runs[name].utilization for name in STACK_BY_LABEL}
     # Everyone lands in the paper's band.
     for name, value in utils.items():
         assert 0.5 < value < 0.85, (name, value)

@@ -11,7 +11,7 @@ with red rectangles.
 from repro.cluster.tasks import TaskKind
 from repro.metrics.report import format_table
 
-from benchmarks._helpers import STACKS, emit, fig11_runs
+from benchmarks._helpers import STACK_BY_LABEL, emit, fig11_runs
 
 FIGURES = {
     "FIFO": "Fig 14",
@@ -38,7 +38,7 @@ def _sparkline(counts, peak):
 def test_fig14_19_slot_allocation(benchmark):
     runs = benchmark.pedantic(fig11_runs, rounds=1, iterations=1)
     sections = []
-    for name, _f in STACKS:
+    for name in STACK_BY_LABEL:
         result = runs[name]
         metrics = result.metrics
         lines = [f"{FIGURES[name]}: {name} slot allocation (one glyph = 60 s, darkness = slots held)"]

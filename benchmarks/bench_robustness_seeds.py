@@ -11,7 +11,7 @@ from repro.cluster.config import ClusterConfig
 from repro.metrics.report import format_table
 from repro.workloads.yahoo import YahooTraceConfig, generate_yahoo_workflows
 
-from benchmarks._helpers import STACKS, emit, run_stack
+from benchmarks._helpers import emit, run_stack
 
 SEEDS = (2014, 7, 42)
 SCHEDULERS = ("FIFO", "Fair", "EDF", "WOHA-LPF")

@@ -20,7 +20,7 @@ from repro.cluster.simulation import ClusterSimulation
 from repro.workflow.builder import WorkflowBuilder
 from repro.workflow.model import Workflow
 
-from benchmarks._helpers import STACKS, emit
+from benchmarks._helpers import STACK_BY_LABEL, build_stack, emit
 
 
 def smoke_workflows() -> List[Workflow]:
@@ -47,14 +47,9 @@ def smoke_workflows() -> List[Workflow]:
     return workflows
 
 
-def assignment_sequence(stack_name: str, trace: bool) -> Tuple[List, int]:
+def assignment_sequence(label: str, trace: bool) -> Tuple[List, int]:
     """Run one stack; return (launch sequence, decision-event count)."""
-    for name, factory in STACKS:
-        if name == stack_name:
-            scheduler, mode, planner = factory()
-            break
-    else:
-        raise KeyError(stack_name)
+    scheduler, mode, planner = build_stack(label)
     config = ClusterConfig(
         num_nodes=4, map_slots_per_node=2, reduce_slots_per_node=1,
         heartbeat_interval=float("inf"),
@@ -76,7 +71,7 @@ def assignment_sequence(stack_name: str, trace: bool) -> Tuple[List, int]:
 def check_all_stacks() -> List[List]:
     """Compare traced vs untraced sequences for every stack; returns rows."""
     rows = []
-    for name, _factory in STACKS:
+    for name in STACK_BY_LABEL:
         plain, _ = assignment_sequence(name, trace=False)
         traced, decisions = assignment_sequence(name, trace=True)
         identical = json.dumps(traced).encode() == json.dumps(plain).encode()

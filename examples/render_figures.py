@@ -14,42 +14,22 @@ Run:  python examples/render_figures.py          (~1 minute)
 
 import os
 
-from repro import (
-    ClusterConfig,
-    ClusterSimulation,
-    EdfScheduler,
-    FairScheduler,
-    FifoScheduler,
-    WohaScheduler,
-    WorkflowBuilder,
-    make_planner,
-)
+from repro import ClusterConfig, ClusterSimulation, WorkflowBuilder
 from repro.cluster.tasks import TaskKind
 from repro.core.plangen import generate_requirements
 from repro.metrics.svgplot import GroupedBarChart, SvgChart
+from repro.registry import STACKS, make_stack
 from repro.workloads.topologies import fig11_workflows
 from repro.workloads.yahoo import YahooTraceConfig, generate_yahoo_workflows
 
 OUT_DIR = "figures"
 
-STACKS = [
-    ("EDF", lambda: (EdfScheduler(), "oozie", None)),
-    ("FIFO", lambda: (FifoScheduler(), "oozie", None)),
-    ("Fair", lambda: (FairScheduler(), "oozie", None)),
-    ("WOHA-HLF", lambda: (WohaScheduler(), "woha", make_planner("hlf"))),
-    ("WOHA-LPF", lambda: (WohaScheduler(), "woha", make_planner("lpf"))),
-    ("WOHA-MPF", lambda: (WohaScheduler(), "woha", make_planner("mpf"))),
-]
 
-
-def run(name, workflows, config):
-    for stack_name, factory in STACKS:
-        if stack_name == name:
-            scheduler, mode, planner = factory()
-            sim = ClusterSimulation(config, scheduler, submission=mode, planner=planner)
-            sim.add_workflows(workflows)
-            return sim.run()
-    raise KeyError(name)
+def run(stack, workflows, config):
+    scheduler, mode, planner = make_stack(stack.name)
+    sim = ClusterSimulation(config, scheduler, submission=mode, planner=planner)
+    sim.add_workflows(workflows)
+    return sim.run()
 
 
 def fig08():
@@ -61,12 +41,12 @@ def fig08():
         ylabel="miss ratio",
     )
     chart.set_groups([f"{m}m-{r}r" for m, r in sizes])
-    for name, _f in STACKS:
+    for stack in STACKS:
         values = []
         for m, r in sizes:
             config = ClusterConfig.from_total_slots(m, r, nodes=40, heartbeat_interval=float("inf"))
-            values.append(run(name, trace, config).miss_ratio)
-        chart.add_series(name, values)
+            values.append(run(stack, trace, config).miss_ratio)
+        chart.add_series(stack.label, values)
     chart.save(os.path.join(OUT_DIR, "fig08_miss_ratio.svg"))
 
 
@@ -81,10 +61,10 @@ def fig11_and_17():
     )
     bars.set_groups(["W-1", "W-2", "W-3"])
     woha_result = None
-    for name, _f in STACKS:
-        result = run(name, fig11_workflows(), config)
-        bars.add_series(name, [result.stats[w].workspan for w in ("W-1", "W-2", "W-3")])
-        if name == "WOHA-LPF":
+    for stack in STACKS:
+        result = run(stack, fig11_workflows(), config)
+        bars.add_series(stack.label, [result.stats[w].workspan for w in ("W-1", "W-2", "W-3")])
+        if stack.name == "woha-lpf":
             woha_result = result
     bars.save(os.path.join(OUT_DIR, "fig11_workspan.svg"))
 

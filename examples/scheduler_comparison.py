@@ -8,38 +8,23 @@ Fair, EDF) and WOHA with each intra-workflow prioritizer (HLF, LPF, MPF).
 Run:  python examples/scheduler_comparison.py
 """
 
-from repro import (
-    ClusterConfig,
-    ClusterSimulation,
-    EdfScheduler,
-    FairScheduler,
-    FifoScheduler,
-    WohaScheduler,
-    make_planner,
-)
+from repro import ClusterConfig, ClusterSimulation
 from repro.metrics.report import format_table
+from repro.registry import STACKS, make_stack
 from repro.workloads.topologies import fig11_workflows
 
 
 def main() -> None:
-    stacks = [
-        ("FIFO", lambda: (FifoScheduler(), "oozie", None)),
-        ("Fair", lambda: (FairScheduler(), "oozie", None)),
-        ("EDF", lambda: (EdfScheduler(), "oozie", None)),
-        ("WOHA-HLF", lambda: (WohaScheduler(), "woha", make_planner("hlf"))),
-        ("WOHA-LPF", lambda: (WohaScheduler(), "woha", make_planner("lpf"))),
-        ("WOHA-MPF", lambda: (WohaScheduler(), "woha", make_planner("mpf"))),
-    ]
     rows = []
-    for name, factory in stacks:
-        scheduler, mode, planner = factory()
+    for stack in STACKS:
+        scheduler, mode, planner = make_stack(stack.name)
         cluster = ClusterConfig(num_nodes=32, map_slots_per_node=2, reduce_slots_per_node=1)
         sim = ClusterSimulation(cluster, scheduler, submission=mode, planner=planner)
         sim.add_workflows(fig11_workflows())
         result = sim.run()
         rows.append(
             [
-                name,
+                stack.label,
                 result.stats["W-1"].workspan,
                 result.stats["W-2"].workspan,
                 result.stats["W-3"].workspan,

@@ -8,16 +8,9 @@ on a 200m-200r cluster.
 Run:  python examples/trace_replay.py
 """
 
-from repro import (
-    ClusterConfig,
-    ClusterSimulation,
-    EdfScheduler,
-    FairScheduler,
-    FifoScheduler,
-    WohaScheduler,
-    make_planner,
-)
+from repro import ClusterConfig, ClusterSimulation
 from repro.metrics.report import format_table
+from repro.registry import STACKS, make_stack
 from repro.workloads.yahoo import YahooTraceConfig, generate_yahoo_workflows
 
 
@@ -27,24 +20,16 @@ def main() -> None:
         f"trace: {len(workflows)} workflows, {sum(len(w) for w in workflows)} jobs, "
         f"{sum(w.total_tasks for w in workflows)} tasks\n"
     )
-    stacks = [
-        ("FIFO", lambda: (FifoScheduler(), "oozie", None)),
-        ("Fair", lambda: (FairScheduler(), "oozie", None)),
-        ("EDF", lambda: (EdfScheduler(), "oozie", None)),
-        ("WOHA-HLF", lambda: (WohaScheduler(), "woha", make_planner("hlf"))),
-        ("WOHA-LPF", lambda: (WohaScheduler(), "woha", make_planner("lpf"))),
-        ("WOHA-MPF", lambda: (WohaScheduler(), "woha", make_planner("mpf"))),
-    ]
     rows = []
-    for name, factory in stacks:
-        scheduler, mode, planner = factory()
+    for stack in STACKS:
+        scheduler, mode, planner = make_stack(stack.name)
         cluster = ClusterConfig.from_total_slots(200, 200, nodes=40)
         sim = ClusterSimulation(cluster, scheduler, submission=mode, planner=planner)
         sim.add_workflows(workflows)
         result = sim.run()
         rows.append(
             [
-                name,
+                stack.label,
                 result.miss_ratio,
                 result.max_tardiness,
                 result.total_tardiness,

@@ -180,7 +180,7 @@ class ContractChecker:
         Checks: per-level strictly ascending keys; every upper-level node
         tops a tower (``down`` points to a same-keyed node); every level's
         key set is contained in the level below.  Non-skip-list backends
-        (AVL, sorted list) fall back to their own ``check_invariants``,
+        (the AVL tree) fall back to their own ``check_invariants``,
         re-raised as :class:`ContractViolation`.
         """
         heads = getattr(skiplist, "_heads", None)

@@ -75,9 +75,9 @@ class _DeferredChoices(abc.Sequence):
 
 
 def _scheduler_stacks() -> Sequence[str]:
-    from repro.experiments.runner import SCHEDULER_STACKS
+    from repro.registry import STACK_NAMES
 
-    return SCHEDULER_STACKS
+    return STACK_NAMES
 
 
 def _scenario_names() -> Sequence[str]:
@@ -124,7 +124,7 @@ def _build_simulation(args: argparse.Namespace, trace=False) -> ClusterSimulatio
     """Construct the ClusterSimulation a scenario subcommand describes."""
     from repro.cluster.config import ClusterConfig
     from repro.cluster.simulation import ClusterSimulation
-    from repro.experiments.runner import _make_stack
+    from repro.registry import make_stack
 
     heartbeat = args.heartbeat if args.heartbeat > 0 else float("inf")
     config = ClusterConfig(
@@ -133,7 +133,7 @@ def _build_simulation(args: argparse.Namespace, trace=False) -> ClusterSimulatio
         reduce_slots_per_node=args.reduce_slots,
         heartbeat_interval=heartbeat,
     )
-    scheduler, mode, planner = _make_stack(args.scheduler, args.pool)
+    scheduler, mode, planner = make_stack(args.scheduler, args.pool)
     return ClusterSimulation(
         config, scheduler, submission=mode, planner=planner, trace=trace,
         contracts=getattr(args, "contracts", False),

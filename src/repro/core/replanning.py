@@ -87,7 +87,6 @@ class ReplanningWohaScheduler(WohaScheduler):
     """WOHA's progress scheduler with lag-triggered replanning.
 
     Args:
-        queue_backend: as for :class:`WohaScheduler`.
         prioritizer: intra-workflow order used for regenerated plans.
         lag_fraction: replan once a workflow's lag exceeds this fraction of
             its total task count (and ``min_lag`` tasks).
@@ -105,13 +104,12 @@ class ReplanningWohaScheduler(WohaScheduler):
 
     def __init__(
         self,
-        queue_backend: str = "dsl",
         prioritizer: Union[str, Prioritizer] = "lpf",
         lag_fraction: float = 0.15,
         min_lag: int = 10,
         cooldown: float = 60.0,
     ) -> None:
-        super().__init__(queue_backend=queue_backend)
+        super().__init__()
         self.prioritizer = PRIORITIZERS[prioritizer] if isinstance(prioritizer, str) else prioritizer
         if not (0.0 < lag_fraction <= 1.0):
             raise ValueError("lag_fraction must be in (0, 1]")

@@ -42,7 +42,6 @@ from repro.schedulers.base import WorkflowScheduler
 from repro.structures.avl import AvlTree
 from repro.structures.base import OrderedMap
 from repro.structures.dsl import DoubleSkipList
-from repro.structures.naive import SortedListMap
 from repro.structures.skiplist import DeterministicSkipList
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -53,7 +52,6 @@ __all__ = ["WohaScheduler", "NaiveWohaScheduler", "QUEUE_BACKENDS"]
 QUEUE_BACKENDS: Dict[str, Callable[[], OrderedMap]] = {
     "dsl": DeterministicSkipList,
     "bst": AvlTree,
-    "list": SortedListMap,
 }
 
 
@@ -182,9 +180,9 @@ class WohaScheduler(WorkflowScheduler):
 
     Args:
         queue_backend: ``"dsl"`` (deterministic skip lists — the paper's
-            choice), ``"bst"`` (AVL trees) or ``"list"`` (sorted lists).
-            All give identical scheduling decisions; they differ only in
-            the cost profile measured by the Fig 13a bench.
+            choice) or ``"bst"`` (AVL trees).  Both give identical
+            scheduling decisions; they differ only in the cost profile
+            measured by the Fig 13a bench.
     """
 
     name = "WOHA"

@@ -31,9 +31,9 @@ from typing import List, Optional, Tuple
 from repro.cluster.config import ClusterConfig
 from repro.cluster.failures import FailureSchedule
 from repro.cluster.simulation import ClusterSimulation
-from repro.experiments.runner import _make_stack
 from repro.experiments.scenarios import SCENARIOS
 from repro.metrics.report import format_table
+from repro.registry import make_stack
 from repro.workflow.model import Workflow
 
 __all__ = ["ProfileReport", "profile_scenario"]
@@ -216,7 +216,7 @@ def profile_scenario(
     if scenario == "serve":
         return _profile_serve(seed, scale, nodes, top, sort)
     workflows, outages = make_scenario(seed, scale)
-    scheduler_obj, mode, planner = _make_stack(scheduler)
+    scheduler_obj, mode, planner = make_stack(scheduler)
     config = ClusterConfig(
         num_nodes=nodes,
         heartbeat_interval=heartbeat if heartbeat > 0 else float("inf"),

@@ -36,13 +36,9 @@ from typing import Dict, List, Optional, Sequence
 from repro.cluster.config import ClusterConfig
 from repro.cluster.failures import FailureSchedule
 from repro.cluster.simulation import ClusterSimulation, WorkflowStats
-from repro.core.client import make_planner
-from repro.core.scheduler import WohaScheduler
 from repro.experiments.scenarios import SCENARIOS
 from repro.metrics.collector import MetricsCollector
-from repro.schedulers.edf import EdfScheduler
-from repro.schedulers.fair import FairScheduler
-from repro.schedulers.fifo import FifoScheduler
+from repro.registry import STACK_NAMES, make_stack
 
 __all__ = [
     "ExperimentCell",
@@ -51,10 +47,6 @@ __all__ = [
     "shard_seed",
     "run_grid",
 ]
-
-#: Scheduler stacks a cell (or a CLI ``--scheduler``) may name.
-SCHEDULER_STACKS = ("fifo", "fair", "edf", "woha-hlf", "woha-lpf", "woha-mpf")
-
 
 @dataclass(frozen=True)
 class ExperimentCell:
@@ -67,7 +59,7 @@ class ExperimentCell:
     """
 
     scenario: str
-    scheduler: str
+    scheduler: str  # a stack name from repro.registry.STACKS
     seed: int
     nodes: int = 8
     scale: float = 0.25
@@ -75,7 +67,7 @@ class ExperimentCell:
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.scheduler not in SCHEDULER_STACKS:
+        if self.scheduler not in STACK_NAMES:
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
 
     @property
@@ -168,19 +160,6 @@ class GridResult:
         return json.dumps(self.to_payload(), sort_keys=True)
 
 
-def _make_stack(name: str, pool: str = "pooled"):
-    """Resolve a scheduler name to (scheduler, submission mode, planner);
-    ``pool`` picks the WOHA planner's slot pool (Algorithm 1 or split)."""
-    if name == "fifo":
-        return FifoScheduler(), "oozie", None
-    if name == "fair":
-        return FairScheduler(), "oozie", None
-    if name == "edf":
-        return EdfScheduler(), "oozie", None
-    prioritizer = name.split("-", 1)[1]
-    return WohaScheduler(), "woha", make_planner(prioritizer, pool=pool)
-
-
 # repro: entrypoint[fork]
 def run_cell(cell: ExperimentCell) -> CellResult:
     """Run one cell to completion (module-level, hence pool-picklable).
@@ -192,7 +171,7 @@ def run_cell(cell: ExperimentCell) -> CellResult:
     pattern, DESIGN.md §11), never share it with the parent.
     """
     workflows, outages = SCENARIOS[cell.scenario](shard_seed(cell), cell.scale)
-    scheduler, mode, planner = _make_stack(cell.scheduler)
+    scheduler, mode, planner = make_stack(cell.scheduler)
     config = ClusterConfig(num_nodes=cell.nodes, heartbeat_interval=float("inf"))
     sim = ClusterSimulation(config, scheduler, submission=mode, planner=planner)
     sim.add_workflows(workflows)

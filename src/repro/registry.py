@@ -10,6 +10,10 @@ Scheduler factories and Scheduling Plan Generator factories, plus a parser
 for the two-line XML file selecting them.  User code registers its own
 implementations under new names and points the config at them.
 
+It also holds :data:`STACKS`, the six scheduler stacks the paper's §V
+evaluation compares, which the CLI, the sweep runner, the figure benches
+and the tests all build through :func:`make_stack`.
+
 Example config::
 
     <workflow-scheduler>
@@ -21,9 +25,11 @@ Example config::
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.client import make_planner
+from repro.core.plancache import PlanCache
 from repro.core.scheduler import NaiveWohaScheduler, WohaScheduler
 from repro.schedulers.base import WorkflowScheduler
 from repro.schedulers.edf import EdfScheduler
@@ -37,6 +43,10 @@ __all__ = [
     "register_plan_generator",
     "parse_scheduler_config",
     "ConfigError",
+    "SchedulerStack",
+    "STACKS",
+    "STACK_NAMES",
+    "make_stack",
 ]
 
 SchedulerFactory = Callable[[], WorkflowScheduler]
@@ -50,7 +60,6 @@ class ConfigError(ValueError):
 SCHEDULER_REGISTRY: Dict[str, SchedulerFactory] = {
     "woha-dsl": lambda: WohaScheduler(queue_backend="dsl"),
     "woha-bst": lambda: WohaScheduler(queue_backend="bst"),
-    "woha-list": lambda: WohaScheduler(queue_backend="list"),
     "woha-naive": NaiveWohaScheduler,
     "fifo": FifoScheduler,
     "fair": FairScheduler,
@@ -112,3 +121,53 @@ def parse_scheduler_config(text: str) -> Tuple[WorkflowScheduler, Optional[Calla
             f"unknown plan generator {planner_name!r}; registered: {sorted(PLAN_GENERATOR_REGISTRY)}"
         ) from None
     return scheduler_factory(), planner_factory()
+
+
+@dataclass(frozen=True)
+class SchedulerStack:
+    """One scheduler stack of the paper's evaluation (§V).
+
+    ``prioritizer`` names the job order the Scheduling Plan Generator plans
+    with; ``None`` marks an Oozie baseline, which submits without a plan.
+    """
+
+    name: str  # the CLI and sweep name
+    label: str  # the figure label
+    scheduler: SchedulerFactory
+    prioritizer: Optional[str] = None
+
+
+#: The six stacks of the paper's evaluation, in its plotting order.
+STACKS: Tuple[SchedulerStack, ...] = (
+    SchedulerStack("edf", "EDF", EdfScheduler),
+    SchedulerStack("fifo", "FIFO", FifoScheduler),
+    SchedulerStack("fair", "Fair", FairScheduler),
+    SchedulerStack("woha-hlf", "WOHA-HLF", WohaScheduler, "hlf"),
+    SchedulerStack("woha-mpf", "WOHA-MPF", WohaScheduler, "mpf"),
+    SchedulerStack("woha-lpf", "WOHA-LPF", WohaScheduler, "lpf"),
+)
+
+#: The stacks' names, in the same order.
+STACK_NAMES: Tuple[str, ...] = tuple(stack.name for stack in STACKS)
+
+_STACKS_BY_NAME = {stack.name: stack for stack in STACKS}
+
+
+def make_stack(
+    name: str, pool: str = "pooled", plan_cache: Optional[PlanCache] = None
+) -> Tuple[WorkflowScheduler, str, Optional[Callable]]:
+    """Build stack ``name`` afresh: ``(scheduler, submission mode, planner)``.
+
+    A WOHA stack submits in ``"woha"`` mode with a planner over ``pool``
+    (Algorithm 1 or the split-pool ablation), planning through
+    ``plan_cache`` if one is given; a baseline submits in ``"oozie"`` mode
+    with no planner.
+    """
+    try:
+        stack = _STACKS_BY_NAME[name]
+    except KeyError:
+        raise ValueError(f"unknown scheduler stack {name!r}; pick from {list(STACK_NAMES)}") from None
+    scheduler = stack.scheduler()
+    if stack.prioritizer is None:
+        return scheduler, "oozie", None
+    return scheduler, "woha", make_planner(stack.prioritizer, pool=pool, plan_cache=plan_cache)

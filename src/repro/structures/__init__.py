@@ -1,12 +1,11 @@
 """Ordered-queue data structures for the Workflow Scheduler (paper §IV-B).
 
-All three back-ends implement the same :class:`~repro.structures.base.OrderedMap`
+Both back-ends implement the same :class:`~repro.structures.base.OrderedMap`
 interface so the scheduler and the Fig 13a throughput bench can swap them:
 
 * :class:`~repro.structures.skiplist.DeterministicSkipList` — the paper's
   choice, a 1-2-3 deterministic skip list with O(1) head deletion;
-* :class:`~repro.structures.avl.AvlTree` — the "BST" comparison point;
-* :class:`~repro.structures.naive.SortedListMap` — a plain re-sorted list.
+* :class:`~repro.structures.avl.AvlTree` — the "BST" comparison point.
 
 :class:`~repro.structures.dsl.DoubleSkipList` combines two ordered maps into
 the paper's cross-linked ct/priority structure.
@@ -15,14 +14,12 @@ the paper's cross-linked ct/priority structure.
 from repro.structures.base import OrderedMap
 from repro.structures.skiplist import DeterministicSkipList
 from repro.structures.avl import AvlTree
-from repro.structures.naive import SortedListMap
 from repro.structures.dsl import DoubleSkipList, DoubleEntry
 
 __all__ = [
     "OrderedMap",
     "DeterministicSkipList",
     "AvlTree",
-    "SortedListMap",
     "DoubleSkipList",
     "DoubleEntry",
 ]

@@ -90,8 +90,8 @@ class DoubleSkipList:
         self,
         map_factory: Callable[[], OrderedMap] = DeterministicSkipList,
     ) -> None:
-        self._ct_list = map_factory()  # repro: calls[DeterministicSkipList, repro.structures.avl.AvlTree, repro.structures.naive.SortedListMap]
-        self._priority_list = map_factory()  # repro: calls[DeterministicSkipList, repro.structures.avl.AvlTree, repro.structures.naive.SortedListMap]
+        self._ct_list = map_factory()  # repro: calls[DeterministicSkipList, repro.structures.avl.AvlTree]
+        self._priority_list = map_factory()  # repro: calls[DeterministicSkipList, repro.structures.avl.AvlTree]
         self._entries: Dict[Any, DoubleEntry] = {}
         # Runtime contract checker (repro.analysis.contracts); the null
         # singleton until one is attached, so every mutation pays exactly
@@ -247,4 +247,4 @@ class DoubleSkipList:
         for checkable in (self._ct_list, self._priority_list):
             check = getattr(checkable, "check_invariants", None)
             if check is not None:
-                check()  # repro: calls[DeterministicSkipList.check_invariants, repro.structures.avl.AvlTree.check_invariants, repro.structures.naive.SortedListMap.check_invariants]
+                check()  # repro: calls[DeterministicSkipList.check_invariants, repro.structures.avl.AvlTree.check_invariants]

@@ -25,6 +25,7 @@ Schema (all durations in seconds)::
 
 from __future__ import annotations
 
+import math
 import xml.etree.ElementTree as ET
 from typing import Callable, Dict, List, Optional, Set, TypeVar
 
@@ -95,16 +96,21 @@ def _numeric_attr(
     element: ET.Element, attr: str, context: str, parse: Callable[[str], _N],
     default: Optional[str] = None,
 ) -> _N:
-    """An attribute read by ``parse`` (``int`` or ``float``); a bad value
-    is rejected naming the attribute and the value."""
+    """An attribute read by ``parse`` (``int`` or ``float``); a bad or
+    non-finite value is rejected naming the attribute and the value."""
     raw = _require_attr(element, attr, context) if default is None else element.get(attr, default)
     try:
-        return parse(raw)
+        value = parse(raw)
     except ValueError as exc:
         kind = "an integer" if parse is int else "a number"
         raise WorkflowValidationError(
             f"{context}: {attr!r} must be {kind}, got {raw!r:.40}"
         ) from exc
+    if not math.isfinite(value):
+        raise WorkflowValidationError(
+            f"{context}: {attr!r} must be a finite number, got {raw!r:.40}"
+        )
+    return value
 
 
 def parse_workflow_xml(text: str) -> Workflow:

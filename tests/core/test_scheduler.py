@@ -37,14 +37,14 @@ class TestBasicOperation:
 
     def test_all_backends_identical_schedules(self, small_workflow):
         results = {}
-        for backend in ("dsl", "bst", "list"):
+        for backend in ("dsl", "bst"):
             wfs = [
                 small_workflow.renamed("w1"),
                 small_workflow.renamed("w2").with_timing(5.0, 250.0),
             ]
             result = run_woha(wfs, WohaScheduler(queue_backend=backend))
             results[backend] = {k: v.completion_time for k, v in result.stats.items()}
-        assert results["dsl"] == results["bst"] == results["list"]
+        assert results["dsl"] == results["bst"]
 
     def test_naive_scheduler_matches_dsl(self, small_workflow):
         wfs = [

@@ -17,7 +17,8 @@ from repro.experiments import (
     run_grid,
     shard_seed,
 )
-from repro.experiments.runner import SCHEDULER_STACKS, run_cell
+from repro.experiments.runner import run_cell
+from repro.registry import STACK_NAMES
 
 #: One scheduler per submission mode family, plus the other oozie baselines.
 FOUR_SCHEDULERS = ("fifo", "fair", "edf", "woha-lpf")
@@ -70,7 +71,7 @@ class TestCells:
         # Every scenario and scheduler name a cell may use is exercisable.
         for scenario in SCENARIOS:
             ExperimentCell(scenario, "fifo", seed=0)
-        for scheduler in SCHEDULER_STACKS:
+        for scheduler in STACK_NAMES:
             ExperimentCell("periodic", scheduler, seed=0)
 
 

@@ -34,24 +34,15 @@ from repro.cluster.simulation import ClusterSimulation
 from repro.cluster.speculation import SpeculationManager
 from repro.core.client import make_planner
 from repro.core.replanning import ReplanningWohaScheduler
-from repro.core.scheduler import NaiveWohaScheduler, WohaScheduler
 from repro.noise import LognormalNoise
-from repro.schedulers.edf import EdfScheduler
-from repro.schedulers.fair import FairScheduler
-from repro.schedulers.fifo import FifoScheduler
+from repro.registry import SCHEDULER_REGISTRY
 from repro.workflow.builder import WorkflowBuilder
 
 from tests.reference_assignment import use_reference_loops
 from tests.reference_woha import use_reference_select_task
 
 SCHEDULERS = {
-    "fifo": FifoScheduler,
-    "fair": FairScheduler,
-    "edf": EdfScheduler,
-    "woha-dsl": lambda: WohaScheduler(queue_backend="dsl"),
-    "woha-bst": lambda: WohaScheduler(queue_backend="bst"),
-    "woha-list": lambda: WohaScheduler(queue_backend="list"),
-    "woha-naive": NaiveWohaScheduler,
+    **SCHEDULER_REGISTRY,
     "woha-replan": lambda: ReplanningWohaScheduler(min_lag=1, lag_fraction=0.05, cooldown=10.0),
 }
 INF = float("inf")
@@ -207,7 +198,7 @@ def test_reference_equivalence_under_failures(seed, sched_name, trace, batched, 
 @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
 @pytest.mark.parametrize("heartbeat", [3.0, INF], ids=["hb3", "hbinf"])
 @pytest.mark.parametrize("mode", ["oozie", "woha"])
-@pytest.mark.parametrize("sched_name", ["woha-dsl", "woha-bst", "woha-list", "woha-replan"])
+@pytest.mark.parametrize("sched_name", ["woha-dsl", "woha-bst", "woha-replan"])
 def test_woha_kernel_matches_two_walk_reference(sched_name, mode, heartbeat, trace, seed):
     _, result = assert_matches_reference(use_reference=use_reference_select_task,
                                          sched_name=sched_name, mode=mode, heartbeat=heartbeat,
@@ -250,7 +241,7 @@ def test_woha_kernel_matches_two_walk_reference_with_speculation(sched_name, mod
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(0, 50),
-    sched_name=st.sampled_from(["woha-dsl", "woha-list", "woha-replan"]),
+    sched_name=st.sampled_from(["woha-dsl", "woha-bst", "woha-replan"]),
     mode=st.sampled_from(["oozie", "woha"]),
     trace=st.booleans(),
     speculate=st.booleans(),

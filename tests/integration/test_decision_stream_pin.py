@@ -6,10 +6,12 @@ alters both sides the same way passes them.  This test compares against
 digests recorded from a known-good tree instead: the SHA-256 of a traced
 run's JSONL decision log and of its counter table, for every scheduler in
 :data:`~repro.registry.SCHEDULER_REGISTRY` plus
-:class:`~repro.core.replanning.ReplanningWohaScheduler`, on a small
-``outages`` scenario (tracker kill and revive, finite heartbeats) and a
-small ``yahoo`` one (event-driven), with batched assignment off and on.
-The batched runs reach the FIFO and Fair ``select_tasks`` overrides.
+:class:`~repro.core.replanning.ReplanningWohaScheduler` under the LPF
+planner, and for the HLF and MPF stacks of :data:`~repro.registry.STACKS`,
+on a small ``outages`` scenario (tracker kill and revive, finite
+heartbeats) and a small ``yahoo`` one (event-driven), with batched
+assignment off and on.  The batched runs reach the FIFO and Fair
+``select_tasks`` overrides.
 
 A change that is meant to alter decisions re-records the digests (run
 this module as a script) and says why in CHANGES.md.
@@ -26,11 +28,11 @@ from repro.cluster.simulation import ClusterSimulation
 from repro.core.client import make_planner
 from repro.core.replanning import ReplanningWohaScheduler
 from repro.experiments.scenarios import SCENARIOS
-from repro.registry import SCHEDULER_REGISTRY
+from repro.registry import SCHEDULER_REGISTRY, STACK_NAMES, make_stack
 
-#: Scheduler name -> factory; the registry's stacks plus the replanner.
-STACKS = {**SCHEDULER_REGISTRY, "woha-replanning": ReplanningWohaScheduler}
-OOZIE = ("fifo", "fair", "edf")
+#: Scheduler name -> factory; the XML registry's schedulers plus the replanner.
+SCHEDULERS = {**SCHEDULER_REGISTRY, "woha-replanning": ReplanningWohaScheduler}
+NAMES = sorted({*SCHEDULERS, "woha-hlf", "woha-mpf"})
 
 #: Scenario name -> (scale, heartbeat interval).
 SCENARIO_RUNS = {"outages": (0.5, 3.0), "yahoo": (0.1, float("inf"))}
@@ -118,21 +120,37 @@ DIGESTS = {
         "6036f53a793233bf5fe5e3b33e68dc8cd02610d72c004b6525a7d652f0bf0f77",
         "efa5819bde108b482fa03a0741c1b4cd160e314da6870956db27b66bd3ea83e8",
     ),
-    ("woha-list", "outages", False): (
+    ("woha-hlf", "outages", False): (
         "b40c3ee373116a4a8283e479a4d23e2cf444bfd0265e94f986d437b5112da988",
         "c80621b5cb6c6c78f970151209c9026064dbb5275b3aca2ba58b1ed77430e0db",
     ),
-    ("woha-list", "outages", True): (
+    ("woha-hlf", "outages", True): (
         "b40c3ee373116a4a8283e479a4d23e2cf444bfd0265e94f986d437b5112da988",
         "c80621b5cb6c6c78f970151209c9026064dbb5275b3aca2ba58b1ed77430e0db",
     ),
-    ("woha-list", "yahoo", False): (
-        "6036f53a793233bf5fe5e3b33e68dc8cd02610d72c004b6525a7d652f0bf0f77",
-        "efa5819bde108b482fa03a0741c1b4cd160e314da6870956db27b66bd3ea83e8",
+    ("woha-hlf", "yahoo", False): (
+        "01952b04246bdc5d20d5d6f3b786fe27d3826f802cd560aded7b40b7e804269c",
+        "212c1db9f16de54890188572c5956821fa98df84f60330fbab5409fc4ac5da7f",
     ),
-    ("woha-list", "yahoo", True): (
-        "6036f53a793233bf5fe5e3b33e68dc8cd02610d72c004b6525a7d652f0bf0f77",
-        "efa5819bde108b482fa03a0741c1b4cd160e314da6870956db27b66bd3ea83e8",
+    ("woha-hlf", "yahoo", True): (
+        "01952b04246bdc5d20d5d6f3b786fe27d3826f802cd560aded7b40b7e804269c",
+        "212c1db9f16de54890188572c5956821fa98df84f60330fbab5409fc4ac5da7f",
+    ),
+    ("woha-mpf", "outages", False): (
+        "b40c3ee373116a4a8283e479a4d23e2cf444bfd0265e94f986d437b5112da988",
+        "c80621b5cb6c6c78f970151209c9026064dbb5275b3aca2ba58b1ed77430e0db",
+    ),
+    ("woha-mpf", "outages", True): (
+        "b40c3ee373116a4a8283e479a4d23e2cf444bfd0265e94f986d437b5112da988",
+        "c80621b5cb6c6c78f970151209c9026064dbb5275b3aca2ba58b1ed77430e0db",
+    ),
+    ("woha-mpf", "yahoo", False): (
+        "01952b04246bdc5d20d5d6f3b786fe27d3826f802cd560aded7b40b7e804269c",
+        "212c1db9f16de54890188572c5956821fa98df84f60330fbab5409fc4ac5da7f",
+    ),
+    ("woha-mpf", "yahoo", True): (
+        "01952b04246bdc5d20d5d6f3b786fe27d3826f802cd560aded7b40b7e804269c",
+        "212c1db9f16de54890188572c5956821fa98df84f60330fbab5409fc4ac5da7f",
     ),
     ("woha-naive", "outages", False): (
         "56f6f69091b184715f3141182ca25efde276bd706abd38b3b3633c28eba653b5",
@@ -169,20 +187,22 @@ DIGESTS = {
 }
 
 
+def build(sched_name):
+    """A stack of the evaluation by its name, else an XML-registry
+    scheduler (or the replanner) under the LPF planner."""
+    if sched_name in STACK_NAMES:
+        return make_stack(sched_name)
+    return SCHEDULERS[sched_name](), "woha", make_planner("lpf")
+
+
 def traced_run(sched_name, scenario, batched):
     scale, heartbeat = SCENARIO_RUNS[scenario]
     workflows, outages = SCENARIOS[scenario](7, scale)
-    oozie = sched_name in OOZIE
     config = ClusterConfig(
         num_nodes=4, heartbeat_interval=heartbeat, batched_assignment=batched
     )
-    sim = ClusterSimulation(
-        config,
-        STACKS[sched_name](),
-        submission="oozie" if oozie else "woha",
-        planner=None if oozie else make_planner("lpf"),
-        trace=True,
-    )
+    scheduler, mode, planner = build(sched_name)
+    sim = ClusterSimulation(config, scheduler, submission=mode, planner=planner, trace=True)
     sim.add_workflows(workflows)
     if outages:
         FailureSchedule(tuple(outages)).apply(sim.sim, sim.jobtracker)
@@ -195,7 +215,7 @@ def traced_run(sched_name, scenario, batched):
 
 CASES = [
     (sched_name, scenario, batched)
-    for sched_name in sorted(STACKS)
+    for sched_name in NAMES
     for scenario in sorted(SCENARIO_RUNS)
     for batched in (False, True)
 ]

@@ -87,11 +87,11 @@ class TestTraceRuns:
 class TestSchedulerSwapEquivalence:
     def test_queue_backends_agree_on_trace(self, trace):
         outcomes = []
-        for backend in ("dsl", "bst", "list"):
+        for backend in ("dsl", "bst"):
             sim = ClusterSimulation(
                 cluster(), WohaScheduler(queue_backend=backend), submission="woha", planner=make_planner()
             )
             sim.add_workflows(trace)
             result = sim.run()
             outcomes.append({k: v.completion_time for k, v in result.stats.items()})
-        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert outcomes[0] == outcomes[1]

@@ -15,11 +15,8 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.simulation import ClusterSimulation
 from repro.core.client import make_planner
 from repro.core.replanning import ReplanningWohaScheduler
-from repro.core.scheduler import NaiveWohaScheduler, WohaScheduler
 from repro.noise import LognormalNoise
-from repro.schedulers.edf import EdfScheduler
-from repro.schedulers.fair import FairScheduler
-from repro.schedulers.fifo import FifoScheduler
+from repro.registry import SCHEDULER_REGISTRY
 from repro.workflow.builder import WorkflowBuilder
 from repro.workloads.topologies import fig11_workflows
 
@@ -54,26 +51,22 @@ def scenario():
     return [tight, chain, filler]
 
 
-SETUPS = [
-    ("fifo", lambda: FifoScheduler(), "oozie"),
-    ("fair", lambda: FairScheduler(), "oozie"),
-    ("edf", lambda: EdfScheduler(), "oozie"),
-    ("woha-dsl", lambda: WohaScheduler(queue_backend="dsl"), "woha"),
-    ("woha-bst", lambda: WohaScheduler(queue_backend="bst"), "woha"),
-    ("woha-list", lambda: WohaScheduler(queue_backend="list"), "woha"),
-    ("woha-naive", lambda: NaiveWohaScheduler(), "woha"),
-    ("woha-replan", lambda: ReplanningWohaScheduler(min_lag=1, lag_fraction=0.05), "woha"),
-]
+SCHEDULERS = {
+    **SCHEDULER_REGISTRY,
+    "woha-replan": lambda: ReplanningWohaScheduler(min_lag=1, lag_fraction=0.05),
+}
+OOZIE = ("fifo", "fair", "edf")
 
 
-def run_assignments(make_scheduler, mode, trace, heartbeat=float("inf")):
+def run_assignments(name, trace, heartbeat=float("inf")):
     config = ClusterConfig(
         num_nodes=2, map_slots_per_node=2, reduce_slots_per_node=1,
         heartbeat_interval=heartbeat,
     )
+    mode = "oozie" if name in OOZIE else "woha"
     planner = make_planner("lpf") if mode == "woha" else None
     sim = ClusterSimulation(
-        config, make_scheduler(), submission=mode, planner=planner, trace=trace
+        config, SCHEDULERS[name](), submission=mode, planner=planner, trace=trace
     )
     log = AssignmentLog()
     sim.jobtracker.add_listener(log)
@@ -82,10 +75,10 @@ def run_assignments(make_scheduler, mode, trace, heartbeat=float("inf")):
     return log.launches, result
 
 
-@pytest.mark.parametrize("name,make_scheduler,mode", SETUPS, ids=[s[0] for s in SETUPS])
-def test_tracing_does_not_change_decisions(name, make_scheduler, mode):
-    plain, _ = run_assignments(make_scheduler, mode, trace=False)
-    traced, result = run_assignments(make_scheduler, mode, trace=True)
+@pytest.mark.parametrize("name", list(SCHEDULERS))
+def test_tracing_does_not_change_decisions(name):
+    plain, _ = run_assignments(name, trace=False)
+    traced, result = run_assignments(name, trace=True)
     assert json.dumps(traced).encode() == json.dumps(plain).encode()
     # And the trace really observed those decisions.
     assert result.tracer is not None
@@ -93,12 +86,11 @@ def test_tracing_does_not_change_decisions(name, make_scheduler, mode):
     assert len(result.tracer.events("assign")) == len(traced)
 
 
-@pytest.mark.parametrize("name,make_scheduler,mode", SETUPS[:1] + SETUPS[3:4],
-                         ids=["fifo", "woha-dsl"])
-def test_tracing_invariant_under_heartbeats(name, make_scheduler, mode):
+@pytest.mark.parametrize("name", ["fifo", "woha-dsl"])
+def test_tracing_invariant_under_heartbeats(name):
     """Same invariance with the periodic-heartbeat assignment path."""
-    plain, _ = run_assignments(make_scheduler, mode, trace=False, heartbeat=3.0)
-    traced, _ = run_assignments(make_scheduler, mode, trace=True, heartbeat=3.0)
+    plain, _ = run_assignments(name, trace=False, heartbeat=3.0)
+    traced, _ = run_assignments(name, trace=True, heartbeat=3.0)
     assert json.dumps(traced).encode() == json.dumps(plain).encode()
 
 
@@ -136,7 +128,7 @@ def test_replanning_tracing_does_not_change_decisions(batched):
 def test_every_assignment_has_a_decision_with_lag_fields():
     """Acceptance: each assign event pairs with a decision that carries the
     chosen workflow's lag and queue position."""
-    _, result = run_assignments(lambda: WohaScheduler(), "woha", trace=True)
+    _, result = run_assignments("woha-dsl", trace=True)
     tracer = result.tracer
     decisions = {
         e["task"]: e for e in tracer.events("decision") if e["task"] is not None
@@ -152,15 +144,15 @@ def test_every_assignment_has_a_decision_with_lag_fields():
 
 
 def test_ring_capacity_trace_still_invariant():
-    plain, _ = run_assignments(lambda: WohaScheduler(), "woha", trace=False)
-    traced, result = run_assignments(lambda: WohaScheduler(), "woha", trace=8)
+    plain, _ = run_assignments("woha-dsl", trace=False)
+    traced, result = run_assignments("woha-dsl", trace=8)
     assert traced == plain
     assert len(result.tracer) <= 8
     assert result.tracer.dropped > 0
 
 
 def test_counters_aggregated_into_metrics():
-    _, result = run_assignments(lambda: WohaScheduler(), "woha", trace=True)
+    _, result = run_assignments("woha-dsl", trace=True)
     counters = result.metrics.scheduler_counters["WOHA"]
     assert counters["decisions"] > 0
     assert counters["assignments"] == len(result.tracer.events("assign"))

@@ -377,7 +377,11 @@ MALFORMED_BODIES = {
                           "workflow 'w': 'deadline' must be a finite number"),
     "xml-deadline-nan": (XML, xml_body(deadline="nan"), "non-finite deadline"),
     "xml-deadline-inf": (XML, xml_body(deadline="inf"), "non-finite deadline"),
-    "xml-map-duration-nan": (XML, xml_body(map_duration="nan"), "non-finite map duration"),
+    "xml-map-duration-nan": (XML, xml_body(map_duration="nan"),
+                             "workflow 'w' job 'a': 'map-duration' must be a finite number, got 'nan'"),
+    "xml-reduce-duration-inf": (XML, xml_body(reduce_duration="inf"),
+                                "workflow 'w' job 'a': 'reduce-duration' must be a finite number, "
+                                "got 'inf'"),
     "xml-submit-not-a-number": (XML, xml_body(submit="soon"), "bad submit or deadline"),
     # Each XML job attribute is named with its bad value, so maps="1.5"
     # can be told from reduces="1.5".

@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 
 from repro.structures.avl import AvlTree
 from repro.structures.dsl import DoubleSkipList
-from repro.structures.naive import SortedListMap
 from repro.structures.skiplist import DeterministicSkipList
 
-BACKENDS = [DeterministicSkipList, AvlTree, SortedListMap]
+BACKENDS = [DeterministicSkipList, AvlTree]
 
 
 @pytest.fixture(params=BACKENDS, ids=lambda c: c.__name__)

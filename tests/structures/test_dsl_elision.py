@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.simulation import ClusterSimulation
-from repro.experiments.runner import _make_stack
 from repro.experiments.scenarios import yahoo_scenario
+from repro.registry import make_stack
 from repro.structures.dsl import DoubleEntry, DoubleSkipList
 
 from tests.reference_woha import ChurningDoubleSkipList
@@ -132,7 +132,7 @@ def test_cached_keys_track_setters():
 
 def _traced_run(elide: bool) -> str:
     workflows, _ = yahoo_scenario(seed=7, scale=0.05)
-    scheduler, mode, planner = _make_stack("woha-lpf")
+    scheduler, mode, planner = make_stack("woha-lpf")
     # The queue is empty until the first submission, so swapping in the
     # churning twin before the run is equivalent to building it that way.
     if not elide:

@@ -1,11 +1,11 @@
-"""``OrderedMap.rekey`` on every queue back-end, against a sorted-list oracle.
+"""``OrderedMap.rekey`` on both queue back-ends, against a sorted-list oracle.
 
 The deterministic skip list overrides ``rekey`` with an in-place rewrite of
 the entry's tower when the new key keeps the entry's neighbours, falling
-back to unlink + insert otherwise; the AVL tree and the sorted list inherit
-the delete + insert default.  Every back-end must leave the same ordering
-as the oracle and pass its structural checks after every operation, and a
-failed re-key must leave the structure exactly as it was.
+back to unlink + insert otherwise; the AVL tree inherits the delete +
+insert default.  Each back-end must leave the same ordering as the oracle
+and pass its structural checks after every operation, and a failed re-key
+must leave the structure exactly as it was.
 """
 
 import pytest
@@ -13,11 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.structures.avl import AvlTree
-from repro.structures.naive import SortedListMap
 from repro.structures.skiplist import DeterministicSkipList
 
-BACKENDS = [DeterministicSkipList, AvlTree, SortedListMap]
-IDS = ["dsl", "bst", "list"]
+BACKENDS = [DeterministicSkipList, AvlTree]
+IDS = ["dsl", "bst"]
 
 
 def build(factory, keys):
