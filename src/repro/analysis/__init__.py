@@ -3,14 +3,14 @@
 Three layers of one guarantee:
 
 * :mod:`repro.analysis.rules` / :mod:`repro.analysis.engine` — an AST lint
-  that statically rejects determinism hazards (rule ids ``DT101``-``DT107``)
-  in the scheduler's decision paths.  CLI: ``repro lint``.
+  that statically rejects determinism hazards (rule ids ``DT101``-``DT104``
+  and ``DT107``) in the scheduler's decision paths.  CLI: ``repro lint``.
 * :mod:`repro.analysis.callgraph` / :mod:`repro.analysis.interproc` /
   :mod:`repro.analysis.dataflow` — the whole-program passes
-  (``DT201``-``DT202``, ``DT301``-``DT305``): nondeterminism taint along
-  the call graph, dynamic-call holes, and the flow-sensitive dataflow
-  rules (fork-shared state, pool picklability, exception atomicity, stale
-  or unknown directives, simulated-time purity; DESIGN.md §13).  CLI:
+  (``DT201``-``DT202``, ``DT301`` and ``DT303``-``DT305``): nondeterminism
+  taint along the call graph, dynamic-call holes, and the flow-sensitive
+  dataflow rules (fork-shared state, exception atomicity, stale or
+  unknown directives, simulated-time purity; DESIGN.md §13).  CLI:
   ``repro lint --interproc`` and ``repro callgraph``.  Hot-path cost —
   asymptotic and constant-factor — is not linted; the end-to-end
   benchmark's per-layer metrics and the Fig 13a bench guard it

@@ -1,6 +1,6 @@
 """Whole-program call graph over the ``repro`` package (DESIGN.md §9).
 
-The intraprocedural lint (DT101-DT107) judges each file alone, so a
+The intraprocedural lint (DT101-DT104, DT107) judges each file alone, so a
 nondeterministic helper *called from* a decision path sails through.  This
 module builds the call graph the interprocedural rules
 (:mod:`repro.analysis.interproc`) and the dataflow pass

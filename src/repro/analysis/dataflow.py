@@ -1,13 +1,12 @@
-"""Flow-sensitive interprocedural dataflow pass (DT301-DT305; DESIGN.md §13).
+"""Flow-sensitive interprocedural dataflow pass (DT301, DT303-DT305; DESIGN.md §13).
 
 The DT2xx pass answers *reachability* questions (does nondeterminism reach
 a decision path, does a decision path call something unresolvable).  The
 hazards the fork pool (DESIGN.md §11) and the multi-tenant planning service
 expose are *state* questions: which module/class-level objects does a call
 chain write, which operations can raise partway through a mutation
-sequence, which callables actually cross a pickling boundary.  This module computes
-per-function **summaries** over the :mod:`repro.analysis.callgraph` graph
-and propagates them to a fixpoint:
+sequence.  This module computes per-function **summaries** over the
+:mod:`repro.analysis.callgraph` graph and propagates them to a fixpoint:
 
 * ``global_writes`` — writes to module-level or class-level *mutable*
   bindings (dict/list/set/OrderedDict/... literals and constructors),
@@ -32,11 +31,6 @@ The rules on top:
     in a service it races other tenants.  The documented safe pattern is
     per-shard regeneration — workers rebuild state from the cell key
     instead of sharing it (DESIGN.md §11).
-``DT302`` unpicklable callable crossing the Pool boundary
-    A ``pool.map``/``apply_async``/... call whose function argument is a
-    lambda, a closure (nested ``def`` — its captured cells are listed), or
-    a bound method.  Module-level functions — including a conditional
-    rebinding between two of them — pass.
 ``DT303`` exception atomicity
     In a decision-path function or one named by :data:`HOT_PATH_REGISTRY`,
     two mutations of the same receiver in one statement block with a
@@ -99,7 +93,7 @@ __all__ = [
 ]
 
 #: The rule ids this pass owns (registered in ``rules.RULES``).
-DATAFLOW_RULES: Tuple[str, ...] = ("DT301", "DT302", "DT303", "DT304", "DT305")
+DATAFLOW_RULES: Tuple[str, ...] = ("DT301", "DT303", "DT304", "DT305")
 
 #: Functions that are hot by construction: the §IV data-structure mutators
 #: and the per-heartbeat scheduling path.  DT303 holds them to exception
@@ -199,12 +193,6 @@ _MUTATOR_METHODS = {
 #: vocabulary.
 _CONTRACT_MUTATORS = _MUTATOR_METHODS | {
     "delete", "pop_head", "rekey", "update_head_ct", "update_priority", "update_ct",
-}
-
-#: Pool methods that ship their function argument across a fork boundary.
-_POOL_METHODS = {
-    "map", "map_async", "imap", "imap_unordered",
-    "starmap", "starmap_async", "apply", "apply_async",
 }
 
 #: Call wrappers through which wall-clock taint passes unchanged.
@@ -857,120 +845,6 @@ def _dt301(graph: CallGraph, summaries: Mapping[str, FunctionSummary]) -> List[V
     return violations
 
 
-# -- DT302: unpicklable callables at the Pool boundary -------------------------
-
-
-def _free_names(node: ast.AST, enclosing_locals: Set[str]) -> List[str]:
-    """Names a nested def reads from its enclosing function's scope."""
-    own = _local_names(node)
-    free: Set[str] = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            if sub.id in enclosing_locals and sub.id not in own:
-                free.add(sub.id)
-    return sorted(free)
-
-
-def _dt302(graph: CallGraph) -> List[Violation]:
-    violations: List[Violation] = []
-    for qualname in sorted(graph.functions):
-        fn = graph.functions[qualname]
-        if fn.node is None:
-            continue
-        mod = graph.modules[fn.module]
-        pool_names = {"pool"}
-        assignments: Dict[str, ast.AST] = {}
-        nested_defs: Dict[str, ast.AST] = {}
-        for sub in ast.walk(fn.node):
-            if isinstance(sub, ast.Assign) and len(sub.targets) == 1 and isinstance(
-                sub.targets[0], ast.Name
-            ):
-                assignments[sub.targets[0].id] = sub.value
-                ref = _ref_string(sub.value.func) if isinstance(sub.value, ast.Call) else None
-                if ref is not None and ref.split(".")[-1].endswith("Pool"):
-                    pool_names.add(sub.targets[0].id)
-            elif isinstance(sub, ast.withitem) and sub.optional_vars is not None:
-                ref = (
-                    _ref_string(sub.context_expr.func)
-                    if isinstance(sub.context_expr, ast.Call)
-                    else None
-                )
-                if ref is not None and ref.split(".")[-1].endswith("Pool") and isinstance(
-                    sub.optional_vars, ast.Name
-                ):
-                    pool_names.add(sub.optional_vars.id)
-            elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and sub is not fn.node:
-                nested_defs[sub.name] = sub
-
-        def check_callable(arg: ast.AST, call: ast.Call) -> None:
-            if isinstance(arg, ast.Lambda):
-                violations.append(
-                    Violation(
-                        rule="DT302",
-                        path=fn.module,
-                        line=call.lineno,
-                        col=call.col_offset,
-                        message=(
-                            f"lambda crosses the Pool boundary in {fn.name}; "
-                            "pickle cannot ship it — use a module-level function"
-                        ),
-                    )
-                )
-                return
-            if isinstance(arg, ast.Attribute):
-                ref = _ref_string(arg)
-                if ref is not None and ref.startswith("self."):
-                    violations.append(
-                        Violation(
-                            rule="DT302",
-                            path=fn.module,
-                            line=call.lineno,
-                            col=call.col_offset,
-                            message=(
-                                f"bound method {ref} crosses the Pool boundary in "
-                                f"{fn.name}; it drags its whole instance through pickle"
-                            ),
-                        )
-                    )
-                return
-            if isinstance(arg, ast.IfExp):
-                check_callable(arg.body, call)
-                check_callable(arg.orelse, call)
-                return
-            if isinstance(arg, ast.Name):
-                if arg.id in nested_defs:
-                    captured = _free_names(nested_defs[arg.id], _local_names(fn.node))
-                    cells = f" (captures {', '.join(captured)})" if captured else ""
-                    violations.append(
-                        Violation(
-                            rule="DT302",
-                            path=fn.module,
-                            line=call.lineno,
-                            col=call.col_offset,
-                            message=(
-                                f"closure {arg.id} crosses the Pool boundary in "
-                                f"{fn.name}{cells}; nested functions are unpicklable"
-                            ),
-                        )
-                    )
-                    return
-                bound = assignments.get(arg.id)
-                if bound is not None and isinstance(bound, (ast.Lambda, ast.IfExp)):
-                    check_callable(bound, call)
-
-        for sub in ast.walk(fn.node):
-            if not (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)):
-                continue
-            if sub.func.attr not in _POOL_METHODS:
-                continue
-            receiver = sub.func.value
-            if not (isinstance(receiver, ast.Name) and receiver.id in pool_names):
-                continue
-            if sub.args:
-                check_callable(sub.args[0], sub)
-    return violations
-
-
 # -- DT303: exception atomicity ------------------------------------------------
 
 
@@ -1299,7 +1173,7 @@ def stale_suppression_violations(
 
 
 def analyze_dataflow(graph: CallGraph) -> List[Violation]:
-    """Run DT301/DT302/DT303/DT305 over a built call graph.
+    """Run DT301/DT303/DT305 over a built call graph.
 
     DT304 is separate (:func:`stale_suppression_violations`): it needs the
     engine's post-filter suppression ledger, so the engine invokes it after
@@ -1308,7 +1182,6 @@ def analyze_dataflow(graph: CallGraph) -> List[Violation]:
     summaries = compute_summaries(graph)
     violations: List[Violation] = []
     violations.extend(_dt301(graph, summaries))
-    violations.extend(_dt302(graph))
     violations.extend(_dt303(graph, summaries))
     for qualname in sorted(graph.functions):
         fn = graph.functions[qualname]

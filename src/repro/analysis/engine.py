@@ -288,7 +288,7 @@ def lint_paths(
 
     ``interproc=True`` additionally builds the whole-program call graph
     and runs the DT201-DT202 pass (:mod:`repro.analysis.interproc`) and
-    the DT301-DT305 dataflow pass (:mod:`repro.analysis.dataflow`); their
+    the DT301/DT303-DT305 dataflow pass (:mod:`repro.analysis.dataflow`); their
     violations go through the same inline-allow and baseline machinery,
     attributed to the module each one is located in.
 

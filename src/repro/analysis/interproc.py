@@ -3,7 +3,7 @@
 WOHA's §IV claims are *per-heartbeat* properties of whole call chains: a
 scheduling decision is only reproducible if nothing it transitively calls
 reads the clock or iterates a set.  The intraprocedural rules
-(DT101-DT107) see one file at a time; this pass walks the
+(DT101-DT104, DT107) see one file at a time; this pass walks the
 :mod:`repro.analysis.callgraph` graph.
 
 **Taint (DT201).**  Seeds are the intraprocedural nondeterminism rules

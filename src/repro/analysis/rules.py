@@ -1,4 +1,4 @@
-"""The determinism rule catalog (DT101-DT106) and its AST visitor.
+"""The determinism rule catalog (DT101-DT104, DT107) and its AST visitor.
 
 WOHA's correctness argument is determinism all the way down: Algorithm 1
 must emit the same progress-requirement list ``F_i`` for the same workflow
@@ -39,15 +39,6 @@ Rule catalog (see DESIGN.md §8 for the full rationale):
     ``definition``), or ``object.__setattr__`` outside ``__init__``/
     ``__post_init__``.  ``Workflow``/``ProgressPlan`` immutability is what
     makes plan-cache sharing safe.
-``DT105`` slots-consistency
-    In a class that declares a literal ``__slots__``, assignment to a
-    ``self`` attribute missing from the declaration.  Such writes raise
-    ``AttributeError`` only on the first execution of that path — lint
-    catches them statically.
-``DT106`` eq-without-hash
-    A class (in a decision path) defining ``__eq__`` without ``__hash__``:
-    Python then sets ``__hash__ = None`` and the type silently stops being
-    usable as a cache key.
 ``DT107`` order-dependent-single-element-extraction
     ``next(iter(<set>))``, zero-argument ``.pop()`` on a set-typed
     expression, or ``.popitem()`` in a decision path.  Each extracts *one*
@@ -57,7 +48,7 @@ Rule catalog (see DESIGN.md §8 for the full rationale):
     history-dependent; decisions must not hang off it.)
 
 Rules DT201-DT202 are the *interprocedural* pass (``lint --interproc``);
-they live in :mod:`repro.analysis.interproc`.  Rules DT301-DT305 are the
+they live in :mod:`repro.analysis.interproc`.  Rules DT301 and DT303-DT305 are the
 *flow-sensitive dataflow* pass layered on the same call graph; they live
 in :mod:`repro.analysis.dataflow`.  All are registered here so the
 baseline parser and the CLI catalog know them.
@@ -92,21 +83,19 @@ RULES: Dict[str, str] = {
     "DT102": "wall-clock read or unseeded randomness outside noise.py / workloads/",
     "DT103": "float == / != on a duration- or deadline-like value",
     "DT104": "mutation of an immutable model object (Workflow / ProgressPlan) after construction",
-    "DT105": "assignment to a self attribute missing from the class's __slots__",
-    "DT106": "__eq__ defined without __hash__ (type silently becomes unhashable)",
     "DT107": "order-dependent single-element extraction (next(iter(set)), set.pop(), dict.popitem()) in a decision path",
     "DT201": "nondeterministic source reaches a decision-path function through the call graph",
     "DT202": "unresolved dynamic call inside a decision-path function (annotate with `# repro: calls[...]`)",
     "DT301": "module/class-level mutable state written on a path reachable from a fork/service entrypoint",
-    "DT302": "unpicklable callable (lambda, closure, bound method) crossing the multiprocessing Pool boundary",
     "DT303": "paired mutations of contract-protected state span a may-raise operation, or a broad except swallows ContractError",
     "DT304": "stale or unknown directive: an allow[...]/calls[...]/entrypoint[...] that no longer suppresses or declares anything, or a `# repro:` kind that does not exist",
     "DT305": "wall-clock or OS-entropy value compared or added to a simulated-time expression",
 }
 
 #: Package sub-directories whose modules take scheduling decisions.  Set
-#: iteration order (DT101) and unhashable types (DT106) only matter where
-#: the iteration feeds a decision; model/metrics/report code is exempt.
+#: iteration order (DT101) and single-element extraction (DT107) only
+#: matter where the element feeds a decision; model/metrics/report code
+#: is exempt.
 DECISION_PATH_DIRS: Tuple[str, ...] = ("core", "schedulers", "structures", "cluster")
 
 #: Modules allowed to use randomness (they seed it explicitly).
@@ -462,104 +451,6 @@ class _LintVisitor(ast.NodeVisitor):
             "object.__setattr__ outside __init__/__post_init__ defeats a "
             "frozen dataclass's immutability",
         )
-
-    # -- DT105 / DT106: class-level checks -------------------------------------
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._check_slots(node)
-        self._check_eq_hash(node)
-        self.generic_visit(node)
-
-    @staticmethod
-    def _literal_slots(node: ast.ClassDef) -> Optional[Set[str]]:
-        for stmt in node.body:
-            if not isinstance(stmt, ast.Assign):
-                continue
-            if not any(
-                isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
-            ):
-                continue
-            value = stmt.value
-            if isinstance(value, (ast.Tuple, ast.List, ast.Set)):
-                names: Set[str] = set()
-                for elt in value.elts:
-                    if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
-                        names.add(elt.value)
-                    else:
-                        return None  # computed slots: give up
-                return names
-            if isinstance(value, ast.Constant) and isinstance(value.value, str):
-                return {value.value}
-            return None
-        return None
-
-    def _check_slots(self, node: ast.ClassDef) -> None:
-        slots = self._literal_slots(node)
-        if slots is None:
-            return
-        # Bases may contribute __dict__ or more slots; only object-rooted
-        # classes are checked (conservative: no false positives).
-        if any(not (isinstance(b, ast.Name) and b.id == "object") for b in node.bases):
-            return
-        class_level = {
-            t.id
-            for stmt in node.body
-            if isinstance(stmt, ast.Assign)
-            for t in stmt.targets
-            if isinstance(t, ast.Name)
-        }
-        method_names = {
-            stmt.name
-            for stmt in node.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        for method in ast.walk(node):
-            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for stmt in ast.walk(method):
-                targets: List[ast.AST] = []
-                if isinstance(stmt, ast.Assign):
-                    targets = list(stmt.targets)
-                elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
-                    targets = [stmt.target]
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                        and target.attr not in slots
-                        and target.attr not in class_level
-                        and target.attr not in method_names
-                    ):
-                        self._emit(
-                            "DT105",
-                            target,
-                            f"self.{target.attr} assigned but missing from "
-                            f"{node.name}.__slots__",
-                        )
-
-    def _check_eq_hash(self, node: ast.ClassDef) -> None:
-        if not self.decision_path:
-            return
-        defined = {
-            stmt.name
-            for stmt in node.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        assigned = {
-            t.id
-            for stmt in node.body
-            if isinstance(stmt, ast.Assign)
-            for t in stmt.targets
-            if isinstance(t, ast.Name)
-        }
-        if "__eq__" in defined and "__hash__" not in defined | assigned:
-            self._emit(
-                "DT106",
-                node,
-                f"{node.name} defines __eq__ without __hash__: instances become "
-                "unhashable and cannot serve as cache keys",
-            )
 
     # -- function-name tracking (for the __setattr__ whitelist) ---------------
 

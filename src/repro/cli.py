@@ -26,7 +26,7 @@ Commands:
 * ``lint`` — run the determinism lint (:mod:`repro.analysis`) over source
   trees; exits 1 on violations or a stale baseline, 2 on usage errors.
   ``--interproc`` adds the whole-program taint and dataflow passes
-  (DT201-DT202, DT301-DT305);
+  (DT201-DT202, DT301, DT303-DT305);
   ``--diff REF`` restricts reporting to files changed versus a git ref.
 * ``callgraph`` — build the interprocedural call graph and export it as
   DOT or JSON for inspection.
@@ -46,7 +46,7 @@ import subprocess
 import sys
 from collections import abc
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Set, TypeVar
 
 import repro
 
@@ -55,6 +55,8 @@ if TYPE_CHECKING:
     from repro.workflow.model import Workflow
 
 __all__ = ["main", "build_parser"]
+
+_T = TypeVar("_T")
 
 
 class _DeferredChoices(abc.Sequence):
@@ -106,17 +108,34 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
                         help="enable runtime invariant checks (repro.analysis.contracts)")
 
 
+class _InputError(Exception):
+    """An input file that cannot be read or holds no valid workflow."""
+
+
+def _read_input(path: str, load: Callable[[str], _T]) -> _T:
+    """``load(path)``, with an unreadable file or an invalid workflow
+    re-raised as an :class:`_InputError` that names the file."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise _InputError(f"{path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # WorkflowValidationError, malformed JSON
+        raise _InputError(f"{path}: {exc}") from exc
+
+
+def _load_xml(path: str) -> Workflow:
+    from repro.workflow.xmlconfig import parse_workflow_xml
+
+    return _read_input(path, lambda p: parse_workflow_xml(Path(p).read_text()))
+
+
 def _load_scenario(args: argparse.Namespace) -> List[Workflow]:
     """Collect the scenario's workflows from XML files and/or a JSON set."""
-    from repro.workflow.xmlconfig import parse_workflow_xml
     from repro.workloads.io import load_workflows
 
-    workflows: List[Workflow] = []
-    for path in args.inputs:
-        with open(path) as fh:
-            workflows.append(parse_workflow_xml(fh.read()))
+    workflows = [_load_xml(path) for path in args.inputs]
     if args.trace:
-        workflows.extend(load_workflows(args.trace))
+        workflows.extend(_read_input(args.trace, load_workflows))
     return workflows
 
 
@@ -198,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="also list suppressed and baselined violations")
     lint.add_argument("--interproc", action="store_true",
                       help="also run the whole-program taint/dynamic-call/dataflow "
-                           "passes (DT201-DT202, DT301-DT305)")
+                           "passes (DT201-DT202, DT301, DT303-DT305)")
     lint.add_argument("--format", choices=("text", "json"), default="text",
                       help="report format; json emits stable sort-keyed records "
                            "for CI and --diff consumers (default: text)")
@@ -272,10 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.core.client import make_planner
     from repro.metrics.report import format_table
-    from repro.workflow.xmlconfig import parse_workflow_xml
 
-    with open(args.workflow_xml) as fh:
-        workflow = parse_workflow_xml(fh.read())
+    workflow = _load_xml(args.workflow_xml)
     planner = make_planner(args.prioritizer, cap_search=not args.no_cap_search, pool=args.pool)
     plan = planner(workflow, args.slots)
     print(f"workflow      : {workflow.name} ({len(workflow)} jobs, {workflow.total_tasks} tasks)")
@@ -593,6 +610,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except _InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "plan":
         return _cmd_plan(args)
     if args.command == "simulate":

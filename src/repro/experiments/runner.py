@@ -2,9 +2,9 @@
 
 A sweep is a grid of :class:`ExperimentCell`\\ s — (scenario, scheduler,
 seed, cluster size, workload scale).  :func:`run_grid` runs every cell,
-either inline (``workers=0``) or fanned across a ``multiprocessing`` fork
-pool, and folds the per-cell metrics into one
-:class:`~repro.metrics.collector.MetricsCollector` via
+either inline (``workers=0``) or fanned across a fork-started
+:class:`~concurrent.futures.ProcessPoolExecutor`, and folds the per-cell
+metrics into one :class:`~repro.metrics.collector.MetricsCollector` via
 :meth:`~repro.metrics.collector.MetricsCollector.merge`.
 
 Determinism is the whole design:
@@ -18,7 +18,9 @@ Determinism is the whole design:
 * cells are executed and merged in sorted-key order regardless of worker
   count, so :meth:`GridResult.dumps` is byte-identical for ``workers=0``
   and any ``workers=N`` of the same grid (pinned by
-  ``tests/experiments/test_runner.py``).
+  ``tests/experiments/test_runner.py``);
+* a cell that raises, or whose worker process dies, fails the whole grid
+  with a :class:`RuntimeError` naming the cell key.
 
 Wall-clock measurement deliberately lives in ``benchmarks/`` (outside the
 linted decision-path tree), not here: the runner's outputs are pure
@@ -30,8 +32,10 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.failures import FailureSchedule
@@ -191,23 +195,37 @@ def run_grid(cells: Sequence[ExperimentCell], workers: int = 0) -> GridResult:
     """Run every cell and merge the metrics, deterministically.
 
     ``workers=0`` runs inline in this process; ``workers=N`` fans the
-    cells over a fork pool of N processes.  Either way the cells run from
-    their own shard seeds and the merge folds them in sorted-key order,
-    so the returned :class:`GridResult` payload is byte-identical across
-    worker counts.
+    cells over a fork-started process pool of N workers, one future per
+    cell.  Either way the cells run from their own shard seeds and the
+    merge folds them in sorted-key order, so the returned
+    :class:`GridResult` payload is byte-identical across worker counts.
+
+    A cell that raises fails the grid with a :class:`RuntimeError` naming
+    its key.  So does a worker process that dies (``BrokenProcessPool``):
+    every unfinished cell then fails, and the error names the first of
+    them in key order.
     """
     ordered = sorted(cells, key=lambda cell: cell.key)
     keys = [cell.key for cell in ordered]
     if len(set(keys)) != len(keys):
         raise ValueError("duplicate cell keys in grid")
+    results: List[CellResult] = []
     if workers <= 0:
-        results = [run_cell(cell) for cell in ordered]
+        for cell in ordered:
+            with _naming(cell):
+                results.append(run_cell(cell))
     else:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=workers) as pool:
-            # Pool.map returns results in input order whatever the
-            # completion interleaving; input order is sorted-key order.
-            results = pool.map(run_cell, ordered)
+        fork = multiprocessing.get_context("fork")
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=fork)
+        try:
+            futures = [pool.submit(run_cell, cell) for cell in ordered]
+            for cell, future in zip(ordered, futures):
+                with _naming(cell):
+                    results.append(future.result())
+        finally:
+            # On a failure, drop the cells not yet started instead of
+            # running them before the error surfaces.
+            pool.shutdown(cancel_futures=True)
     merged: Optional[MetricsCollector] = None
     for result in results:
         if merged is None:
@@ -216,3 +234,12 @@ def run_grid(cells: Sequence[ExperimentCell], workers: int = 0) -> GridResult:
     if merged is None:
         merged = MetricsCollector(ClusterConfig(num_nodes=1))
     return GridResult(cells=results, merged=merged, workers=workers)
+
+
+@contextmanager
+def _naming(cell: ExperimentCell) -> Iterator[None]:
+    """Re-raise any failure inside the block as one naming the cell."""
+    try:
+        yield
+    except Exception as exc:
+        raise RuntimeError(f"cell {cell.key} failed: {exc!r}") from exc

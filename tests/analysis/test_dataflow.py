@@ -1,4 +1,4 @@
-"""The DT301-DT305 dataflow pass: summaries, fixpoints, rules, staleness."""
+"""The DT301/DT303-DT305 dataflow pass: summaries, fixpoints, rules, staleness."""
 
 import ast
 from pathlib import Path
@@ -28,7 +28,7 @@ def graph_of(modules):
 
 
 def analyze(modules):
-    """Raw dataflow violations (DT301/302/303/305) for ``{key: source}``."""
+    """Raw dataflow violations (DT301/303/305) for ``{key: source}``."""
     return analyze_dataflow(graph_of(modules))
 
 
@@ -54,14 +54,11 @@ def test_corpus_findings_are_where_the_fixtures_say():
     for v in report.violations:
         by_rule.setdefault(v.rule, []).append(v)
     assert [v.path for v in by_rule["DT301"]] == ["df_fork_shared.py"]
-    assert [v.path for v in by_rule["DT302"]] == ["df_pool_closure.py"]
     assert [v.path for v in by_rule["DT303"]] == ["df_atomicity.py"]
     assert [v.path for v in by_rule["DT304"]] == ["df_stale_allow.py"]
     assert [v.path for v in by_rule["DT305"]] == ["df_wallclock_taint.py"]
     (hit,) = by_rule["DT301"]
     assert "df_fork_shared.py::run_shard -> df_fork_shared.py::_record" in hit.message
-    (hit,) = by_rule["DT302"]
-    assert "captures bias" in hit.message
 
 
 def test_dataflow_report_is_deterministic():
@@ -219,45 +216,6 @@ def test_dt301_ignores_functions_not_reachable_from_an_entrypoint():
         ),
     })
     assert [v for v in violations if v.rule == "DT301"] == []
-
-
-# -- DT302 --------------------------------------------------------------------
-
-
-def test_dt302_flags_lambda_and_bound_method():
-    violations = analyze({
-        "m.py": (
-            "import multiprocessing\n\n"
-            "class Runner:\n"
-            "    def go(self, cells):\n"
-            "        with multiprocessing.Pool() as pool:\n"
-            "            return pool.map(self.run_one, cells)\n"
-            "    def run_one(self, cell):\n"
-            "        return cell\n\n"
-            "def inline(cells):\n"
-            "    with multiprocessing.Pool() as pool:\n"
-            "        return pool.map(lambda c: c + 1, cells)\n"
-        ),
-    })
-    hits = [v for v in violations if v.rule == "DT302"]
-    assert len(hits) == 2
-    assert any("bound method self.run_one" in v.message for v in hits)
-    assert any("lambda" in v.message for v in hits)
-
-
-def test_dt302_conditional_rebinding_between_module_functions_passes():
-    violations = analyze({
-        "m.py": (
-            "import multiprocessing\n\n"
-            "def a(x):\n    return x\n\n"
-            "def b(x):\n    return x\n\n"
-            "def run(cells, flag):\n"
-            "    worker = a if flag else b\n"
-            "    with multiprocessing.Pool() as pool:\n"
-            "        return pool.map(worker, cells)\n"
-        ),
-    })
-    assert [v for v in violations if v.rule == "DT302"] == []
 
 
 # -- DT303 --------------------------------------------------------------------

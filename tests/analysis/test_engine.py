@@ -51,32 +51,30 @@ def test_comma_list_suppression_records_every_rule():
 
 def test_allow_on_decorator_line_does_not_cover_the_def(tmp_path):
     # Suppressions are strictly line-anchored: an allow on the decorator
-    # line neither silences the def-line violation nor counts as used —
-    # DT304 reports it stale in the same run.
+    # line neither silences the def-line violation (a wall-clock default
+    # argument) nor counts as used — DT304 reports it stale in the same run.
     (tmp_path / "m.py").write_text(
-        "# repro: decision-path\n"
-        "import functools\n\n"
-        "@functools.total_ordering  # repro: allow[DT106]\n"
-        "class Key:\n"
-        "    def __eq__(self, other):\n"
-        "        return True\n"
+        "import functools\n"
+        "import time\n\n"
+        "@functools.lru_cache(maxsize=None)  # repro: allow[DT102]\n"
+        "def stamp(at=time.time()):\n"
+        "    return at\n"
     )
     report = lint_paths([tmp_path], interproc=True)
-    assert sorted(v.rule for v in report.violations) == ["DT106", "DT304"]
+    assert sorted(v.rule for v in report.violations) == ["DT102", "DT304"]
 
 
 def test_allow_on_the_def_line_covers_a_decorated_def(tmp_path):
     (tmp_path / "m.py").write_text(
-        "# repro: decision-path\n"
-        "import functools\n\n"
-        "@functools.total_ordering\n"
-        "class Key:  # repro: allow[DT106]\n"
-        "    def __eq__(self, other):\n"
-        "        return True\n"
+        "import functools\n"
+        "import time\n\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def stamp(at=time.time()):  # repro: allow[DT102]\n"
+        "    return at\n"
     )
     report = lint_paths([tmp_path], interproc=True)
     assert report.clean
-    assert [v.rule for v in report.suppressed] == ["DT106"]
+    assert [v.rule for v in report.suppressed] == ["DT102"]
 
 
 # -- baselines ----------------------------------------------------------------

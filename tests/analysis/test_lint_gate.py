@@ -33,7 +33,7 @@ def test_cli_gate_matches_library_gate(capsys):
 
 
 def test_source_tree_passes_the_interprocedural_gate(interproc_lint_runs):
-    """The whole-program passes (DT201-DT202, DT301-DT305) are binding
+    """The whole-program passes (DT201-DT202, DT301, DT303-DT305) are binding
     too: a set-order helper reachable from a decision path, a half-updated
     §IV structure on a hot path, or a stale or unknown directive anywhere
     in ``src/repro`` fails the suite.  The report is the shared

@@ -24,8 +24,6 @@ RULE_FIXTURES = {
     "DT102": "dt102_wallclock.py",
     "DT103": "dt103_float_eq.py",
     "DT104": "dt104_frozen_mutation.py",
-    "DT105": "dt105_slots.py",
-    "DT106": "dt106_eq_without_hash.py",
     "DT107": "dt107_order_pop.py",
 }
 
@@ -40,7 +38,6 @@ INTERPROC_FIXTURES = {
 #: exercised (whole-corpus, ``interproc=True``) by test_dataflow.py.
 DATAFLOW_FIXTURES = {
     "DT301": "dataflow/df_fork_shared.py",
-    "DT302": "dataflow/df_pool_closure.py",
     "DT303": "dataflow/df_atomicity.py",
     "DT304": "dataflow/df_stale_allow.py",
     "DT305": "dataflow/df_wallclock_taint.py",
@@ -212,17 +209,3 @@ def test_dt107_precision_deterministic_extractions_allowed():
         "    return a, b, c, d\n"
     )
     assert lint_source(source, "x.py").clean
-
-
-def test_eq_with_hash_allowed_and_non_decision_path_exempt():
-    source = (
-        "class K:\n"
-        "    def __eq__(self, o):\n"
-        "        return True\n"
-        "    def __hash__(self):\n"
-        "        return 0\n"
-    )
-    assert lint_source(source, "repro/core/x.py").clean
-    no_hash = "class K:\n    def __eq__(self, o):\n        return True\n"
-    assert lint_source(no_hash, "repro/metrics/x.py").clean
-    assert not lint_source(no_hash, "repro/core/x.py").clean

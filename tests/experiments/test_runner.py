@@ -7,6 +7,11 @@ count and any input order.  Shard seeds must derive only from the cell key (stab
 from worker index or wall clock.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +22,7 @@ from repro.experiments import (
     run_grid,
     shard_seed,
 )
+from repro.experiments import runner
 from repro.experiments.runner import run_cell
 from repro.registry import STACK_NAMES
 
@@ -101,6 +107,68 @@ class TestDeterminism:
         assert all(
             ws.completion_time != float("inf") for ws in result.stats.values()
         )
+
+
+#: The cell :func:`_raising_run_cell` fails on (a module-level function, so
+#: a fork worker can unpickle it by name).
+VICTIM = ExperimentCell("yahoo", "fifo", **SMOKE)
+
+
+def _raising_run_cell(cell):
+    if cell == VICTIM:
+        raise ValueError("planted failure")
+    return run_cell(cell)
+
+
+#: Run in a child interpreter: a cell whose worker exits abruptly.  A hang
+#: here is caught by the subprocess timeout instead of stalling the suite.
+_KILLED_WORKER = textwrap.dedent("""
+    import os, sys
+    from repro.experiments import ExperimentCell, run_grid, runner
+
+    cells = [ExperimentCell(s, k, seed=0, nodes=4, scale=0.05)
+             for s in ("periodic", "yahoo") for k in ("fifo", "woha-lpf")]
+    victim = sorted(c.key for c in cells)[int(sys.argv[2])]
+    real = runner.run_cell
+
+    def dying(cell):
+        if cell.key == victim:
+            os._exit(9)
+        return real(cell)
+
+    runner.run_cell = dying
+    try:
+        run_grid(cells, workers=int(sys.argv[1]))
+    except RuntimeError as exc:
+        print(victim)
+        print(exc)
+        sys.exit(3)
+""")
+
+
+class TestFailures:
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_cell_exception_names_the_cell(self, workers, monkeypatch):
+        monkeypatch.setattr(runner, "run_cell", _raising_run_cell)
+        with pytest.raises(RuntimeError, match="planted failure") as info:
+            run_grid(smoke_grid(), workers=workers)
+        assert VICTIM.key in str(info.value)
+
+    @pytest.mark.parametrize(
+        "workers, victim_index",
+        # The first cell in key order with two workers; a later one with
+        # one worker, where every earlier cell has already finished.
+        [(2, 0), (1, 2)],
+    )
+    def test_killed_worker_fails_loudly_naming_the_cell(self, workers, victim_index):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run(
+            [sys.executable, "-c", _KILLED_WORKER, str(workers), str(victim_index)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 3, proc.stderr
+        victim, message = proc.stdout.splitlines()[:2]
+        assert message.startswith(f"cell {victim} failed: BrokenProcessPool")
 
 
 class TestMergedMetrics:

@@ -14,6 +14,8 @@ from benchmarks.bench_lint_speed import (
     INTERPROC_BUDGET_SECONDS,
     run_bench,
 )
+from repro.analysis import RULES
+from tests.analysis.test_rules import RULE_FIXTURES
 
 FIXTURES = Path(__file__).resolve().parent.parent / "analysis" / "fixtures"
 
@@ -26,7 +28,8 @@ def test_bench_payload_shape_on_toy_corpus(tmp_path):
     assert json.loads(json.dumps(payload)) == payload  # JSON-serialisable
     assert payload["bench"] == "lint_speed"
     assert payload["files_checked"] >= 8
-    assert payload["violations"] >= 6  # one per seeded rule fixture
+    # One per seeded intraprocedural rule fixture.
+    assert payload["violations"] >= len(RULE_FIXTURES)
     assert payload["best_seconds"] > 0
     assert payload["files_per_sec"] > 0
     assert payload["budget_seconds"] == BUDGET_SECONDS
@@ -42,7 +45,7 @@ def test_bench_interproc_payload_shape_on_toy_corpus(tmp_path):
     assert json.loads(json.dumps(payload)) == payload
     assert payload["bench"] == "lint_speed_interproc"
     # The whole-program passes add the DT201/DT202 and DT3xx corpus
-    # findings: 15 in all on the fixture directory.
-    assert payload["violations"] >= 15
+    # findings: at least one per catalog rule on the fixture directory.
+    assert payload["violations"] >= len(RULES)
     assert payload["budget_seconds"] == INTERPROC_BUDGET_SECONDS
 

@@ -11,7 +11,10 @@ planner, and for the HLF and MPF stacks of :data:`~repro.registry.STACKS`,
 on a small ``outages`` scenario (tracker kill and revive, finite
 heartbeats) and a small ``yahoo`` one (event-driven), with batched
 assignment off and on.  The batched runs reach the FIFO and Fair
-``select_tasks`` overrides.
+``select_tasks`` overrides.  Those two scenarios give the HLF and MPF
+stacks equal digests, so a third run pins the three WOHA stacks on a
+one-node cluster with a workflow each prioritizer orders differently, and
+checks that their three logs differ.
 
 A change that is meant to alter decisions re-records the digests (run
 this module as a script) and says why in CHANGES.md.
@@ -29,6 +32,7 @@ from repro.core.client import make_planner
 from repro.core.replanning import ReplanningWohaScheduler
 from repro.experiments.scenarios import SCENARIOS
 from repro.registry import SCHEDULER_REGISTRY, STACK_NAMES, make_stack
+from tests.test_registry import orders_workflow
 
 #: Scheduler name -> factory; the XML registry's schedulers plus the replanner.
 SCHEDULERS = {**SCHEDULER_REGISTRY, "woha-replanning": ReplanningWohaScheduler}
@@ -187,6 +191,24 @@ DIGESTS = {
 }
 
 
+#: The planner run's stacks -> (sha256 of the JSONL log, sha256 of the
+#: sorted-keys counter table JSON).
+PLANNER_DIGESTS = {
+    "woha-hlf": (
+        "2104da4a5d5efaaad18e0b6d93623055d67ebe64b222be1f08336bcc505a8ba0",
+        "80d82c105396bb4c0f871021754718b805e75755dbcd4267ce01c93c62d307c5",
+    ),
+    "woha-lpf": (
+        "533fcd70ca68baa451f0180ba876f05f70324e73ad59eef587afd714c30c603d",
+        "80d82c105396bb4c0f871021754718b805e75755dbcd4267ce01c93c62d307c5",
+    ),
+    "woha-mpf": (
+        "a45d8186b3b27dee203508dfd2d4ddeaf1d136ff7c2859cba620850881db4ab5",
+        "80d82c105396bb4c0f871021754718b805e75755dbcd4267ce01c93c62d307c5",
+    ),
+}
+
+
 def build(sched_name):
     """A stack of the evaluation by its name, else an XML-registry
     scheduler (or the replanner) under the LPF planner."""
@@ -206,7 +228,20 @@ def traced_run(sched_name, scenario, batched):
     sim.add_workflows(workflows)
     if outages:
         FailureSchedule(tuple(outages)).apply(sim.sim, sim.jobtracker)
-    tracer = sim.run().tracer
+    return digests(sim.run().tracer)
+
+
+def planner_run(stack):
+    """The WOHA stack on one node (two map slots) running
+    :func:`~tests.test_registry.orders_workflow`, event-driven."""
+    scheduler, mode, planner = make_stack(stack)
+    config = ClusterConfig(num_nodes=1, heartbeat_interval=float("inf"))
+    sim = ClusterSimulation(config, scheduler, submission=mode, planner=planner, trace=True)
+    sim.add_workflow(orders_workflow())
+    return digests(sim.run().tracer)
+
+
+def digests(tracer):
     return (
         hashlib.sha256(tracer.dumps_jsonl().encode()).hexdigest(),
         hashlib.sha256(json.dumps(tracer.counter_table(), sort_keys=True).encode()).hexdigest(),
@@ -230,8 +265,23 @@ def test_decision_stream_matches_the_pinned_digests(sched_name, scenario, batche
     assert traced_run(sched_name, scenario, batched) == DIGESTS[(sched_name, scenario, batched)]
 
 
-if __name__ == "__main__":  # re-record: PYTHONPATH=src python <this file>
+@pytest.mark.parametrize("stack", sorted(PLANNER_DIGESTS))
+def test_planner_run_matches_the_pinned_digests(stack):
+    assert planner_run(stack) == PLANNER_DIGESTS[stack]
+
+
+def test_planner_run_tells_the_three_prioritizers_apart():
+    stacks = [name for name in STACK_NAMES if name.startswith("woha-")]
+    assert sorted(PLANNER_DIGESTS) == sorted(stacks)
+    logs = {planner_run(stack)[0] for stack in stacks}
+    assert len(logs) == len(stacks)
+
+
+if __name__ == "__main__":  # re-record: PYTHONPATH=src:. python <this file>
     for sched_name, scenario, batched in CASES:
         log, counters = traced_run(sched_name, scenario, batched)
         print(f'    ("{sched_name}", "{scenario}", {batched}): (')
         print(f'        "{log}",\n        "{counters}",\n    ),')
+    for stack in sorted(PLANNER_DIGESTS):
+        log, counters = planner_run(stack)
+        print(f'    "{stack}": (\n        "{log}",\n        "{counters}",\n    ),')

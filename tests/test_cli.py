@@ -59,6 +59,44 @@ class TestSimulateCommand:
         assert "demo" in capsys.readouterr().out
 
 
+NAN_XML = WORKFLOW_XML.replace('map-duration="30"', 'map-duration="nan"')
+
+
+class TestInputErrors:
+    """Bad input files end in one ``error:`` line and exit 2, never a
+    traceback."""
+
+    @pytest.mark.parametrize("command", ["plan", "simulate"])
+    def test_nan_attribute_names_workflow_job_and_attribute(self, command, tmp_path, capsys):
+        path = tmp_path / "nan.xml"
+        path.write_text(NAN_XML)
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: workflow 'demo' job 'a': 'map-duration' must be a "
+            "finite number, got 'nan'\n"
+        )
+
+    @pytest.mark.parametrize("command", ["plan", "simulate"])
+    def test_missing_file(self, command, tmp_path, capsys):
+        path = tmp_path / "missing.xml"
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: No such file or directory\n"
+
+    def test_simulate_trace_json_errors(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["simulate", "--trace", str(missing)]) == 2
+        assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"version": 1, "workflows": [')
+        assert main(["simulate", "--trace", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
+
 class TestTraceCommand:
     def test_trace_then_simulate(self, tmp_path, capsys):
         trace_path = str(tmp_path / "trace.json")
@@ -139,9 +177,9 @@ class TestLintCommand:
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         assert [line.split()[0] for line in out.splitlines()] == [
-            "DT101", "DT102", "DT103", "DT104", "DT105", "DT106", "DT107",
+            "DT101", "DT102", "DT103", "DT104", "DT107",
             "DT201", "DT202",
-            "DT301", "DT302", "DT303", "DT304", "DT305",
+            "DT301", "DT303", "DT304", "DT305",
         ]
 
     def test_lint_defaults_to_package_tree(self, capsys):
